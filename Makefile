@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race ci bench bench-smoke batch-smoke chaos-smoke serve-smoke obs-smoke geom-smoke crash-smoke chaosnet-smoke cluster-smoke mrc-smoke bench-cluster bench-mrc vulncheck fuzz clean-cache
+.PHONY: build vet test race ci bench bench-smoke batch-smoke chaos-smoke serve-smoke obs-smoke geom-smoke crash-smoke chaosnet-smoke cluster-smoke mrc-smoke vulncheck fuzz clean-cache
 
 build:
 	$(GO) build ./...
@@ -21,12 +21,16 @@ race:
 
 ci: vet race bench-smoke batch-smoke chaos-smoke serve-smoke obs-smoke geom-smoke crash-smoke chaosnet-smoke cluster-smoke mrc-smoke vulncheck
 
-# Full hot-path benchmark sweep: the Go benchmarks for each package plus
-# the paperbench -bench report (BENCH_pr2.json). Use this for recorded
-# numbers; bench-smoke is the fast CI variant.
+# The benchmark: one perfbench run per BENCHMARK.json workload (builds
+# mctd, paperbench, tracegen and perfbench from source into .bench_build,
+# then measures end to end; see perfbench/README.md). Reports land in
+# .bench_build/perfbench-reports; the committed BENCH_pr*.json files are
+# historical records and are never rewritten. bench-smoke is the fast CI
+# check that every Go benchmark still runs.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/cache ./internal/classify
-	$(GO) run ./cmd/paperbench -bench
+	for w in spec-mix trace-upload paperbench-quick; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 25 --trace 0 || exit 1; \
+	done
 
 # CI smoke: compile and execute every benchmark for one iteration so a
 # benchmark that panics or allocates unboundedly fails the gate without
@@ -73,12 +77,13 @@ serve-smoke:
 	$(GO) test -race -count=1 -run 'TestServeSmoke|TestMctloadEndToEnd' -timeout 300s ./cmd/mctd ./cmd/mctload
 
 # Observability smoke: boot mctd, drive exactly 200 classify requests
-# through the load generator, scrape /metrics?format=prometheus, and
-# require (a) zero unparseable exposition lines under the strict parser,
-# (b) the server-side classify-latency histogram _count to equal the
-# client-side request count, (c) every metric name to pass the naming
-# convention (the vet-style gate lives in TestMetricNamingConvention).
-# The double-boot regression test pins the expvar republication fix.
+# through the load generator, scrape /metrics, and require (a) zero
+# unparseable exposition lines under the strict parser, (b) the
+# server-side classify-latency histogram _count to equal the client-side
+# request count, (c) every metric name to pass the naming convention (the
+# vet-style gate lives in TestMetricNamingConvention). The double-boot
+# test pins that a second in-process boot's /metrics counts only its own
+# requests.
 obs-smoke:
 	$(GO) test -race -count=1 -run 'TestObsSmoke|TestMctdRepublishesMetricsOnReboot|TestMetricNamingConvention|TestPrometheusExposition' -timeout 300s ./cmd/mctd ./internal/service
 
@@ -108,7 +113,7 @@ crash-smoke:
 # the chaos listener (5% connection resets, injected latency), drives
 # 200 requests through the resilient client with retries enabled, and
 # requires 100% goodput with zero duplicate server-side computation
-# (cache_misses unchanged after a serial warmup — idempotency keys and
+# (mct_cache_misses_total unchanged after a serial warmup — idempotency keys and
 # the memo cache absorb every retry). Distinct from chaos-smoke, which
 # covers task-level fault injection inside one process; this one covers
 # faults on the wire.
@@ -139,22 +144,6 @@ cluster-smoke:
 mrc-smoke:
 	$(GO) test -race -count=1 -run 'TestMRCSmoke|TestProfilerMatchesExactReference|TestSampledErrorBounds|TestCurveMonotone|TestRateAdaptation|TestObserveBatchAllocs|TestMRC|TestTenant' -timeout 300s ./cmd/mctd ./internal/mrc ./internal/service
 
-# Cluster scaling benchmark: 3-node fleet vs single node on a 24-cell
-# sweep with a 60ms injected per-cell occupancy (the one-core proxy for
-# I/O-bound cell time; see the TestClusterScalingBench comment for the
-# methodology). Writes BENCH_pr9.json at the repo root. Not part of ci —
-# it measures, it doesn't gate.
-bench-cluster:
-	MCT_BENCH_CLUSTER=1 MCT_BENCH_CLUSTER_OUT=$(CURDIR)/BENCH_pr9.json \
-		$(GO) test -count=1 -run TestClusterScalingBench -v ./internal/service
-
-# MRC profiler throughput: sampled (rate 0.01) and exact observe paths
-# over a 1M-reference swim trace, written to BENCH_pr10.json at the repo
-# root. Not part of ci — it measures, it doesn't gate.
-bench-mrc:
-	MCT_BENCH_MRC=1 MCT_BENCH_MRC_OUT=$(CURDIR)/BENCH_pr10.json \
-		$(GO) test -count=1 -run TestMRCThroughputBench -v ./internal/mrc
-
 # Known-vulnerability scan, best effort: runs when govulncheck is on PATH
 # and never fails the build on environments without it (the container this
 # repo grows in has no network to install tools).
@@ -165,12 +154,14 @@ vulncheck:
 		echo "vulncheck: govulncheck not installed; skipping"; \
 	fi
 
-# Short fuzz passes over the binary trace decoder; CI runs the seed
-# corpus via `make test`, this target digs deeper locally.
+# Short fuzz passes over the binary trace decoder and the metrics
+# exposition parser; CI runs the seed corpus via `make test`, this target
+# digs deeper locally.
 fuzz:
 	$(GO) test -fuzz FuzzReadTrace -fuzztime 30s ./internal/trace
 	$(GO) test -fuzz 'FuzzRoundTrip$$' -fuzztime 30s ./internal/trace
 	$(GO) test -fuzz FuzzBatchRoundTrip -fuzztime 30s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzParseProm -fuzztime 30s ./internal/obs
 
 # Drop all memoized experiment results (results/cache is also safely
 # deletable by hand; entries are invalidated automatically when the code

@@ -60,6 +60,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	}
 	cmd := exec.Command(os.Args[0], "-test.run=^TestMctdHelperProcess$")
 	cmd.Env = append(os.Environ(), "MCTD_HELPER_ARGS="+strings.Join(args, "\n"))
+	cmd.SysProcAttr = helperSysProcAttr()
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -132,14 +133,14 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	waitJobState(t, base2, jobID, "done")
 
 	m := scrape(t, http.DefaultClient, base2)
-	if m["jobs_recovered"] < 1 {
-		t.Errorf("jobs_recovered = %v, want >= 1", m["jobs_recovered"])
+	if m["mct_jobs_recovered_total"] < 1 {
+		t.Errorf("mct_jobs_recovered_total = %v, want >= 1", m["mct_jobs_recovered_total"])
 	}
-	if m["cache_hits"] < 2 {
-		t.Errorf("cache_hits = %v, want >= 2 (finished cells must resume from cache)", m["cache_hits"])
+	if m["mct_cache_hits_total"] < 2 {
+		t.Errorf("mct_cache_hits_total = %v, want >= 2 (finished cells must resume from cache)", m["mct_cache_hits_total"])
 	}
-	if m["cache_misses"] != 1 {
-		t.Errorf("cache_misses = %v, want exactly 1 (only the hung fig4 cell recomputes)", m["cache_misses"])
+	if m["mct_cache_misses_total"] != 1 {
+		t.Errorf("mct_cache_misses_total = %v, want exactly 1 (only the hung fig4 cell recomputes)", m["mct_cache_misses_total"])
 	}
 
 	recovered := postSweep(t, base2, spec)
@@ -232,12 +233,12 @@ func TestChaosnetConvergence(t *testing.T) {
 	}
 
 	after := scrapeRetry(t, base)
-	if after["cache_misses"] != before["cache_misses"] {
-		t.Errorf("cache_misses rose %v -> %v during the chaos run: retries caused duplicate computation",
-			before["cache_misses"], after["cache_misses"])
+	if after["mct_cache_misses_total"] != before["mct_cache_misses_total"] {
+		t.Errorf("mct_cache_misses_total rose %v -> %v during the chaos run: retries caused duplicate computation",
+			before["mct_cache_misses_total"], after["mct_cache_misses_total"])
 	}
-	if after["idem_stored"] <= 0 {
-		t.Errorf("idem_stored = %v; idempotency store never engaged", after["idem_stored"])
+	if after["mct_idem_stored_total"] <= 0 {
+		t.Errorf("mct_idem_stored_total = %v; idempotency store never engaged", after["mct_idem_stored_total"])
 	}
 }
 
@@ -347,14 +348,9 @@ func scrapeRetry(t *testing.T, base string) map[string]float64 {
 	t.Helper()
 	var lastErr error
 	for i := 0; i < 20; i++ {
-		resp, err := http.Get(base + "/metrics")
+		m, err := scrapeOnce(http.DefaultClient, base)
 		if err == nil {
-			var m map[string]float64
-			err = json.NewDecoder(resp.Body).Decode(&m)
-			resp.Body.Close()
-			if err == nil {
-				return m
-			}
+			return m
 		}
 		lastErr = err
 		time.Sleep(50 * time.Millisecond)

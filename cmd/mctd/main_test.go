@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -95,7 +94,7 @@ func TestServeSmoke(t *testing.T) {
 	for i := 0; i < held; i++ {
 		holds = append(holds, launch())
 	}
-	waitMetric(t, client, base, "queue_inflight", held)
+	waitMetric(t, client, base, "mct_queue_inflight", held)
 
 	// ≥500 concurrent in-flight requests with bounded memory: no request
 	// body is buffered, so the heap stays far below anything resembling
@@ -145,7 +144,7 @@ func TestServeSmoke(t *testing.T) {
 			}
 		}
 	}
-	waitMetric(t, client, base, "queue_inflight", capacity)
+	waitMetric(t, client, base, "mct_queue_inflight", capacity)
 
 	// Release every held request with a tiny valid trace; they must all
 	// complete successfully.
@@ -179,7 +178,7 @@ func TestServeSmoke(t *testing.T) {
 	if completed != capacity {
 		t.Errorf("%d requests completed OK, want %d (capacity)", completed, capacity)
 	}
-	waitMetric(t, client, base, "queue_inflight", 0)
+	waitMetric(t, client, base, "mct_queue_inflight", 0)
 
 	// A short closed-loop load-generator run against the live daemon.
 	report, err := loadgen.Run(context.Background(), loadgen.Config{
@@ -199,11 +198,11 @@ func TestServeSmoke(t *testing.T) {
 		t.Errorf("loadgen saw %d errors of %d requests", total.Errors, total.Requests)
 	}
 	m := scrape(t, client, base)
-	if m["records_total"] <= 0 {
-		t.Error("records_total metric never moved; the simulation counter is dead")
+	if m["mct_records_total"] <= 0 {
+		t.Error("mct_records_total never moved; the simulation counter is dead")
 	}
-	if m["queue_peak"] < capacity {
-		t.Errorf("queue_peak = %v, want >= %d", m["queue_peak"], capacity)
+	if m["mct_queue_peak"] < capacity {
+		t.Errorf("mct_queue_peak = %v, want >= %d", m["mct_queue_peak"], capacity)
 	}
 
 	// SIGTERM: the daemon must drain and exit 0.
@@ -255,18 +254,38 @@ func tinyTrace(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// scrape fetches GET /metrics and returns its unlabelled samples by name.
 func scrape(t *testing.T, client *http.Client, base string) map[string]float64 {
 	t.Helper()
-	resp, err := client.Get(base + "/metrics")
+	m, err := scrapeOnce(client, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var m map[string]float64
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
 	return m
+}
+
+// scrapeOnce parses the exposition strictly; histogram buckets carry an
+// le label and are left out, their _sum and _count series stay in.
+func scrapeOnce(client *http.Client, base string) (map[string]float64, error) {
+	resp, err := client.Get(base + "/metrics")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET /metrics = %d", resp.StatusCode)
+	}
+	samples, err := obs.ParseProm(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	m := map[string]float64{}
+	for _, s := range samples {
+		if s.Labels == nil {
+			m[s.Name] = s.Value
+		}
+	}
+	return m, nil
 }
 
 func waitMetric(t *testing.T, client *http.Client, base, name string, want float64) {
@@ -368,51 +387,24 @@ func classifyN(t *testing.T, base string, n int) {
 	}
 }
 
-// globalMctVars reads the process-global expvar registry's "mct" entry —
-// what /debug/vars serves — as a flat map.
-func globalMctVars(t *testing.T) map[string]float64 {
-	t.Helper()
-	v := expvar.Get("mct")
-	if v == nil {
-		t.Fatal(`expvar.Get("mct") is nil; publishLiveVars never ran`)
-	}
-	var m map[string]float64
-	if err := json.Unmarshal([]byte(v.String()), &m); err != nil {
-		t.Fatalf("global mct var is not flat JSON numbers: %v\n%s", err, v.String())
-	}
-	return m
-}
-
-// TestMctdRepublishesMetricsOnReboot is the regression test for the
-// stale-metrics bug: mctdMain used to publish the first instance's
-// expvar map into the process-global registry behind an
-// expvar.Get("mct") == nil guard, so every later boot in the same
-// process left the global "mct" entry pointing at the dead first
-// instance — frozen counters forever. The forwarding expvar.Func must
-// resolve to whichever instance is live NOW.
+// TestMctdRepublishesMetricsOnReboot pins that metrics belong to the
+// instance, not the process: a second mctdMain boot in the same process
+// counts only its own requests on /metrics, never the first boot's.
 func TestMctdRepublishesMetricsOnReboot(t *testing.T) {
 	// First life: one accepted classify.
 	base1, shutdown1 := bootMctd(t)
 	classifyN(t, base1, 1)
-	if got := globalMctVars(t)["jobs_accepted"]; got != 1 {
-		t.Fatalf("first boot: global jobs_accepted = %v, want 1", got)
+	if got := scrape(t, http.DefaultClient, base1)["mct_jobs_accepted_total"]; got != 1 {
+		t.Fatalf("first boot: mct_jobs_accepted_total = %v, want 1", got)
 	}
 	shutdown1()
 
-	// Second life: three accepted classifies. The global registry must
-	// track the live instance, not replay the first one's count.
+	// Second life: three accepted classifies, and only those.
 	base2, shutdown2 := bootMctd(t)
 	defer shutdown2()
 	classifyN(t, base2, 3)
-
-	m := globalMctVars(t)
-	if m["jobs_accepted"] != 3 {
-		t.Fatalf("second boot: global jobs_accepted = %v, want 3 (stale first-instance map?)", m["jobs_accepted"])
-	}
-	// And the global view must agree with the live instance's /metrics.
-	live := scrape(t, http.DefaultClient, base2)
-	if m["jobs_accepted"] != live["jobs_accepted"] {
-		t.Errorf("global registry %v != live /metrics %v", m["jobs_accepted"], live["jobs_accepted"])
+	if got := scrape(t, http.DefaultClient, base2)["mct_jobs_accepted_total"]; got != 3 {
+		t.Fatalf("second boot: mct_jobs_accepted_total = %v, want 3 (first boot's count leaked in?)", got)
 	}
 }
 

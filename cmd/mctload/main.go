@@ -2,10 +2,10 @@
 // concurrent mixed classify/sweep traffic — plus an optional -mrc share
 // of miss-ratio-curve profiles — at a target (or closed-loop)
 // rate through the shared resilient client (idempotency keys, jittered
-// retries honoring Retry-After, opt-in hedging), reports latency
-// percentiles, error rates and the retry taxonomy, scrapes the server's
-// Prometheus exposition for the service-side view, and writes the
-// machine-readable BENCH_pr8.json snapshot.
+// retries honoring Retry-After, opt-in hedging), and prints latency
+// percentiles, error rates and retries per traffic class. It is a load
+// driver, not a benchmark: recorded performance numbers come from
+// perfbench, and the server's own view is on its /metrics.
 //
 // Usage:
 //
@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/loadgen"
-	"repro/internal/perf"
 )
 
 func main() {
@@ -52,16 +51,12 @@ func mctloadMain(args []string, stdout, stderr io.Writer) int {
 		retries     = fs.Int("retries", 1, "max attempts per logical request (1 = no retries; raise for chaos runs)")
 		hedgeAfter  = fs.Duration("hedge-after", 0, "hedge classify requests still unanswered after this delay (0 = off)")
 		chaosSpec   = fs.String("chaos", "", "client-side network fault injection, e.g. 'reset=0.05,latency=20ms' (see internal/faultinject)")
-		out         = fs.String("out", "BENCH_pr8.json", "machine-readable report path (empty = skip)")
 		quiet       = fs.Bool("quiet", false, "suppress the result table")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	// The chaos transport wraps the load traffic only — the post-run
-	// metrics scrape below goes over a clean client, so a black-holed
-	// report scrape can't masquerade as a server problem.
 	var httpClient *http.Client
 	if *chaosSpec != "" {
 		chaos, err := faultinject.ParseNetSpec(*chaosSpec)
@@ -105,43 +100,8 @@ func mctloadMain(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Fold in the servers' own histograms. Best-effort: a target without
-	// the Prometheus endpoint still yields a valid client-side report.
-	scrapeCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	scrapeList := targetList
-	if len(scrapeList) == 0 {
-		scrapeList = []string{*url}
-	}
-	scraped := make([]*perf.ServerMetrics, 0, len(scrapeList))
-	for _, tgt := range scrapeList {
-		sm, err := loadgen.ScrapeServer(scrapeCtx, nil, tgt)
-		if err != nil {
-			fmt.Fprintf(stderr, "mctload: server metrics unavailable from %s: %v\n", tgt, err)
-			continue
-		}
-		scraped = append(scraped, sm)
-		if len(scrapeList) > 1 {
-			if report.Servers == nil {
-				report.Servers = map[string]*perf.ServerMetrics{}
-			}
-			report.Servers[tgt] = sm
-		}
-	}
-	// The Server section is the whole fleet, not whichever target
-	// happened to be scraped first: counters sum and histogram buckets
-	// merge across instances (per-instance detail stays in Servers).
-	report.Server = perf.MergeServerMetrics(scraped...)
-
 	if !*quiet {
 		fmt.Fprintln(stdout, report.Table().String())
-	}
-	if *out != "" {
-		if err := report.WriteJSON(*out); err != nil {
-			fmt.Fprintln(stderr, "mctload:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "(report written to %s)\n", *out)
 	}
 
 	// A run whose every request failed is a failed run, even though

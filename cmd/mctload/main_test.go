@@ -3,15 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/perf"
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -25,57 +23,47 @@ func TestMctloadEndToEnd(t *testing.T) {
 		svc.Drain(ctx)
 	})
 
-	out := filepath.Join(t.TempDir(), "BENCH_pr5.json")
 	var stdout, stderr bytes.Buffer
 	code := mctloadMain([]string{
 		"-url", srv.URL,
 		"-duration", "250ms",
 		"-concurrency", "2",
-		"-out", out,
 	}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit %d\nstderr:\n%s", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "Load test:") {
-		t.Errorf("missing result table:\n%s", stdout.String())
+	if !strings.Contains(stdout.String(), "Load test:") || !strings.Contains(stdout.String(), "total") {
+		t.Errorf("missing result table or its total row:\n%s", stdout.String())
 	}
 
-	raw, err := os.ReadFile(out)
+	// The service's own registry saw the traffic the table reports.
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
-		t.Fatalf("report not written: %v", err)
+		t.Fatal(err)
 	}
-	var report perf.LoadReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
+	defer resp.Body.Close()
+	samples, err := obs.ParseProm(resp.Body)
+	if err != nil {
+		t.Fatalf("metrics exposition does not parse: %v", err)
 	}
-	if report.Schema != perf.LoadReportSchema || report.CodeVersion == "" {
-		t.Errorf("report stamp incomplete: schema %d, code %q", report.Schema, report.CodeVersion)
+	var accepted float64
+	var classify *obs.ParsedHistogram
+	for _, s := range samples {
+		if s.Name == "mct_jobs_accepted_total" {
+			accepted = s.Value
+		}
 	}
-	total := report.Results[len(report.Results)-1]
-	if total.Name != "total" || total.Requests == 0 || total.Latency.P99Ms <= 0 {
-		t.Errorf("report totals implausible: %+v", total)
+	for _, h := range obs.HistogramsFromSamples(samples) {
+		if h.Name == "mct_classify_duration_seconds" {
+			h := h
+			classify = &h
+		}
 	}
-
-	// Schema 2: the server's own histograms ride along in the report.
-	if report.Server == nil {
-		t.Fatalf("report.Server missing — Prometheus scrape failed?\nstderr:\n%s", stderr.String())
+	if accepted <= 0 {
+		t.Errorf("mct_jobs_accepted_total = %v, want > 0", accepted)
 	}
-	hists := map[string]perf.ServerHistogram{}
-	for _, h := range report.Server.Histograms {
-		hists[h.Name] = h
-	}
-	classify, ok := hists["mct_classify_duration_seconds"]
-	if !ok {
-		t.Fatalf("server histograms missing classify latency: %+v", report.Server.Histograms)
-	}
-	if classify.Count == 0 || len(classify.Buckets) == 0 {
-		t.Errorf("classify histogram empty: %+v", classify)
-	}
-	if last := classify.Buckets[len(classify.Buckets)-1]; last.LE != "+Inf" || last.Count != classify.Count {
-		t.Errorf("classify +Inf bucket %+v inconsistent with count %d", last, classify.Count)
-	}
-	if report.Server.Counters["mct_jobs_accepted_total"] <= 0 {
-		t.Errorf("server counters implausible: %+v", report.Server.Counters)
+	if classify == nil || classify.Count == 0 {
+		t.Errorf("classify latency histogram empty: %+v", classify)
 	}
 }
 
@@ -85,7 +73,6 @@ func TestMctloadUnreachableTarget(t *testing.T) {
 		"-url", "http://127.0.0.1:1", // nothing listens on port 1
 		"-duration", "100ms",
 		"-concurrency", "1",
-		"-out", "",
 	}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (all requests failed)\nstderr:\n%s", code, stderr.String())

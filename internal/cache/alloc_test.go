@@ -9,7 +9,7 @@ import (
 // Allocation-regression tests: the simulation hot paths must be
 // allocation-free in steady state, or experiment throughput collapses
 // under GC pressure. These pin the zero with testing.AllocsPerRun; the
-// matching benchmarks (bench_test.go, internal/perf) report the same
+// matching benchmarks (bench_test.go) report the same
 // number as a column. "Steady state" means after warmup — the first
 // touch of a set or the arena growing to capacity may allocate, the
 // millionth access may not.

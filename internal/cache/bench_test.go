@@ -6,10 +6,9 @@ import (
 	"repro/internal/mem"
 )
 
-// Hot-path benchmarks for the cache layer. The same components are
-// measured by internal/perf (paperbench -bench) for the BENCH_*.json
-// trajectory; these exist so `go test -bench` works per-package during
-// development.
+// Hot-path benchmarks for the cache layer, so `go test -bench` works
+// per-package during development. Recorded performance numbers come from
+// perfbench (perfbench/README.md).
 
 func benchAddrs(n int) []mem.Addr {
 	addrs := make([]mem.Addr, 0, n)

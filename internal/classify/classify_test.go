@@ -285,7 +285,7 @@ func TestObserveSteadyStateAllocs(t *testing.T) {
 // at zero allocations per batch: once the result arrays and the oracle's
 // staging scratch have grown to the working batch size, replaying batches
 // must not touch the heap. This is the kernel every batch consumer
-// (mctsim -trace, the service upload path, perf's sim.endtoend.batch)
+// (mctsim -trace, the service upload path, perfbench's layer suite)
 // sits on.
 func TestAccessBatchSteadyStateAllocs(t *testing.T) {
 	run, err := NewRun(benchConfig(), 0)

@@ -39,7 +39,7 @@ import (
 const IdempotencyHeader = "X-Mct-Idempotency-Key"
 
 // FailureKind buckets request failures for the mctload error taxonomy.
-// The string values appear verbatim in perf.LoadReport's by_failure map.
+// The string values appear verbatim as loadgen.LoadResult.ByFailure keys.
 type FailureKind string
 
 const (
@@ -216,8 +216,7 @@ func KindOf(err error) FailureKind {
 	return FailNone
 }
 
-// Stats aggregates the client's lifetime retry activity, for
-// perf.LoadReport.
+// Stats aggregates the client's lifetime retry activity.
 type Stats struct {
 	Attempts uint64            `json:"attempts"`
 	Retries  uint64            `json:"retries"`

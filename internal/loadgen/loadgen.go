@@ -1,9 +1,8 @@
 // Package loadgen is a closed-loop load generator for the mctd service:
 // a fixed fleet of workers drives mixed classify/sweep traffic at either
 // the maximum closed-loop rate or a target QPS, measuring per-request
-// latency and error rates. cmd/mctload wraps it as a CLI and writes the
-// BENCH_pr8.json report (client-side results plus the server's own
-// histograms scraped from the Prometheus endpoint).
+// latency and error rates. cmd/mctload wraps it as a CLI that prints the
+// per-class result table.
 //
 // "Closed loop" means each worker issues its next request only after the
 // previous one completes — offered load adapts to service latency, so an
@@ -30,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/perf"
 	"repro/internal/workload"
 )
 
@@ -142,18 +140,18 @@ func splitmix64(x uint64) uint64 {
 // Run drives the fleet until cfg.Duration elapses (or ctx cancels) and
 // returns the aggregated report. The error is non-nil only for setup
 // failures; request failures are data, not errors.
-func Run(ctx context.Context, cfg Config) (perf.LoadReport, error) {
+func Run(ctx context.Context, cfg Config) (LoadReport, error) {
 	cfg = cfg.withDefaults()
 	targets := cfg.Targets
 	if len(targets) == 0 {
 		if cfg.BaseURL == "" {
-			return perf.LoadReport{}, fmt.Errorf("loadgen: BaseURL (or Targets) is required")
+			return LoadReport{}, fmt.Errorf("loadgen: BaseURL (or Targets) is required")
 		}
 		targets = []string{cfg.BaseURL}
 	}
 	names := workload.Names()
 	if len(names) == 0 {
-		return perf.LoadReport{}, fmt.Errorf("loadgen: no workloads registered")
+		return LoadReport{}, fmt.Errorf("loadgen: no workloads registered")
 	}
 	// One shared client per target: each client's key sequence guarantees
 	// distinct idempotency keys across the workers it serves. Seed is
@@ -171,7 +169,7 @@ func Run(ctx context.Context, cfg Config) (perf.LoadReport, error) {
 			HedgeAfter:  cfg.HedgeAfter,
 		})
 		if err != nil {
-			return perf.LoadReport{}, fmt.Errorf("loadgen: target %s: %w", tgt, err)
+			return LoadReport{}, fmt.Errorf("loadgen: target %s: %w", tgt, err)
 		}
 		clients[i] = cl
 	}
@@ -237,12 +235,12 @@ func Run(ctx context.Context, cfg Config) (perf.LoadReport, error) {
 	<-done
 	elapsed := time.Since(start)
 
-	report := perf.NewLoadReport(targets[0], elapsed, cfg.Concurrency, cfg.QPS,
-		aggregate(collected, elapsed, len(targets) > 1))
-	if len(targets) > 1 {
-		report.Targets = targets
-	}
-	return report, nil
+	return LoadReport{
+		Target:      targets[0],
+		DurationSec: elapsed.Seconds(),
+		Concurrency: cfg.Concurrency,
+		Results:     aggregate(collected, elapsed, len(targets) > 1),
+	}, nil
 }
 
 // oneRequest issues a single classify or sweep through the shared
@@ -324,7 +322,7 @@ func (c Config) oneRequest(ctx context.Context, cl *client.Client, target string
 // multi-target run appends one row per target and keys by_failure as
 // kind@target, so a single flaky node is visible without cross-
 // referencing raw samples.
-func aggregate(samples []sample, elapsed time.Duration, multiTarget bool) []perf.LoadResult {
+func aggregate(samples []sample, elapsed time.Duration, multiTarget bool) []LoadResult {
 	classes := map[string][]sample{}
 	var targetOrder []string
 	for _, s := range samples {
@@ -343,13 +341,13 @@ func aggregate(samples []sample, elapsed time.Duration, multiTarget bool) []perf
 	}
 	sort.Strings(targetOrder)
 	order := append([]string{"mrc", "classify", "sweep", "total"}, targetOrder...)
-	var out []perf.LoadResult
+	var out []LoadResult
 	for _, name := range order {
 		ss := classes[name]
 		if len(ss) == 0 {
 			continue
 		}
-		res := perf.LoadResult{Name: name, ByStatus: map[string]uint64{}}
+		res := LoadResult{Name: name, ByStatus: map[string]uint64{}}
 		lats := make([]time.Duration, 0, len(ss))
 		for _, s := range ss {
 			res.Requests++
@@ -387,7 +385,7 @@ func aggregate(samples []sample, elapsed time.Duration, multiTarget bool) []perf
 		if sec := elapsed.Seconds(); sec > 0 {
 			res.Throughput = float64(res.Requests) / sec
 		}
-		res.Latency = perf.SummarizeLatency(lats)
+		res.Latency = SummarizeLatency(lats)
 		out = append(out, res)
 	}
 	return out

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/perf"
 	"repro/internal/service"
 )
 
@@ -72,23 +71,11 @@ func TestPercentile(t *testing.T) {
 		{0, 1}, {0.5, 5}, {0.9, 9}, {0.99, 10}, {1, 10},
 	}
 	for _, c := range cases {
-		if got := perf.Percentile(samples, c.q); got != c.want {
+		if got := Percentile(samples, c.q); got != c.want {
 			t.Errorf("Percentile(%v) = %d, want %d", c.q, got, c.want)
 		}
 	}
-	if got := perf.Percentile(nil, 0.5); got != 0 {
+	if got := Percentile(nil, 0.5); got != 0 {
 		t.Errorf("Percentile(empty) = %d, want 0", got)
-	}
-}
-
-func TestSummarizeLatency(t *testing.T) {
-	s := perf.SummarizeLatency([]time.Duration{
-		4 * time.Millisecond, 2 * time.Millisecond, 1 * time.Millisecond, 3 * time.Millisecond,
-	})
-	if s.Count != 4 || s.MeanMs != 2.5 || s.MaxMs != 4 {
-		t.Errorf("summary = %+v", s)
-	}
-	if s.P50Ms != 2 {
-		t.Errorf("p50 = %v, want 2", s.P50Ms)
 	}
 }

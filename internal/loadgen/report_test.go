@@ -1,10 +1,13 @@
-package perf
+package loadgen
 
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // naivePercentile is the reference nearest-rank definition, written the
@@ -106,6 +109,20 @@ func TestPercentileMonotoneInQ(t *testing.T) {
 }
 
 func TestSummarizeLatency(t *testing.T) {
+	s := SummarizeLatency([]time.Duration{
+		4 * time.Millisecond, 2 * time.Millisecond, 1 * time.Millisecond, 3 * time.Millisecond,
+	})
+	if s.Count != 4 || s.MeanMs != 2.5 || s.MaxMs != 4 {
+		t.Errorf("summary = %+v", s)
+	}
+	if s.P50Ms != 2 {
+		t.Errorf("p50 = %v, want 2", s.P50Ms)
+	}
+}
+
+// TestSummarizeLatencyEmptyAndTail pins the empty summary and the
+// nearest-rank indices the tail percentiles land on.
+func TestSummarizeLatencyEmptyAndTail(t *testing.T) {
 	if got := SummarizeLatency(nil); got != (Latency{}) {
 		t.Errorf("empty summary = %+v", got)
 	}
@@ -125,5 +142,47 @@ func TestSummarizeLatency(t *testing.T) {
 	}
 	if got.P90Ms != 4 || got.P99Ms != 4 || got.MaxMs != 4 {
 		t.Errorf("tail = %+v", got)
+	}
+}
+
+// TestPercentileCrossPackageDifferential pins stats.Histogram.Percentile
+// and loadgen.Percentile to the same nearest-rank rule over shared sample
+// sets. With bucket width 1, a histogram's bucket for value v has upper
+// bound v+1, so for every quantile — including the formerly-unvalidated
+// NaN and out-of-range ones — the histogram answer must be exactly the
+// sorted-samples answer plus one.
+func TestPercentileCrossPackageDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	sets := map[string][]uint64{
+		"single":    {7},
+		"two":       {3, 9},
+		"four":      {1, 2, 3, 4},
+		"dup-heavy": {5, 5, 5, 5, 5, 9, 9, 1},
+	}
+	uniform := make([]uint64, 997)
+	for i := range uniform {
+		uniform[i] = uint64(rng.Intn(200))
+	}
+	sets["uniform"] = uniform
+
+	quantiles := []float64{-0.5, 0, 1e-9, 0.01, 0.25, 0.5, 0.6, 0.75, 0.9, 0.99, 0.999, 1, 1.5, math.NaN()}
+
+	for name, vals := range sets {
+		maxV := slices.Max(vals)
+		h := stats.NewHistogram(int(maxV)+1, 1)
+		sorted := make([]time.Duration, len(vals))
+		for i, v := range vals {
+			h.Add(v)
+			sorted[i] = time.Duration(v)
+		}
+		slices.Sort(sorted)
+
+		for _, q := range quantiles {
+			want := uint64(Percentile(sorted, q)) + 1
+			got := h.Percentile(q)
+			if got != want {
+				t.Errorf("%s q=%v: histogram %d, sorted-rank %d", name, q, got, want)
+			}
+		}
 	}
 }

@@ -3,12 +3,10 @@ package mrc_test
 import (
 	"fmt"
 	"math"
-	"os"
 	"testing"
 
 	"repro/internal/mem"
 	"repro/internal/mrc"
-	"repro/internal/perf"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -241,42 +239,4 @@ func TestObserveBatchAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("ObserveBatch allocated %.1f times per batch; want 0", allocs)
 	}
-}
-
-// TestMRCThroughputBench is the env-gated BENCH writer: profiler
-// throughput at the production sampling rate and in exact mode, written
-// to MCT_BENCH_MRC_OUT (BENCH_pr10.json via make bench-mrc). It
-// measures; it does not gate.
-func TestMRCThroughputBench(t *testing.T) {
-	if os.Getenv("MCT_BENCH_MRC") == "" {
-		t.Skip("set MCT_BENCH_MRC=1 to run the MRC throughput benchmark")
-	}
-	addrs := collectAddrs(t, "swim", 1_000_000)
-	measure := func(name string, rate float64, maxSampled int) perf.Result {
-		br := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			p := mrc.New(mrc.Config{Rate: rate, MaxSampled: maxSampled, LineSize: lineSize})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for off := 0; off < len(addrs); off += 4096 {
-					p.ObserveBatch(addrs[off:min(off+4096, len(addrs))])
-				}
-			}
-		})
-		res := perf.ResultOf(name, br, len(addrs))
-		res.Metrics = map[string]float64{"refs_per_sec": res.OpsPerSec, "sampling_rate": rate}
-		return res
-	}
-	report := perf.NewReport([]perf.Result{
-		measure("mrc.observe.sampled", 0.01, 0),
-		measure("mrc.observe.exact", 1, -1),
-	})
-	out := os.Getenv("MCT_BENCH_MRC_OUT")
-	if out == "" {
-		out = "BENCH_pr10.json"
-	}
-	if err := report.WriteJSON(out); err != nil {
-		t.Fatalf("writing %s: %v", out, err)
-	}
-	t.Log("\n" + report.Table().String())
 }

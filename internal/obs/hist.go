@@ -99,9 +99,9 @@ func (h *Histogram) Snapshot() []uint64 {
 
 // Quantile estimates the q-quantile (0..1) from the bucket counts by
 // linear interpolation inside the bucket that crosses the target rank.
-// It is an estimate bounded by bucket resolution — the expvar map
-// exposes it for quick eyeballing; precise latencies come from the
-// client side (perf.SummarizeLatency) or the full bucket exposition.
+// It is an estimate bounded by bucket resolution, for quick eyeballing;
+// precise latencies come from the client side (loadgen.SummarizeLatency)
+// or the full bucket exposition.
 func (h *Histogram) Quantile(q float64) float64 {
 	total := h.count.Load()
 	if total == 0 {
@@ -145,9 +145,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// String implements expvar.Var: a compact JSON summary (count, sum,
-// interpolated p50/p99). The full bucket detail lives in the
-// Prometheus exposition; the expvar map stays flat and numeric.
+// String renders a compact JSON summary (count, sum, interpolated
+// p50/p99) for logs and test failures. The full bucket detail lives in
+// the Prometheus exposition.
 func (h *Histogram) String() string {
 	var b strings.Builder
 	b.WriteString(`{"count":`)

@@ -4,8 +4,9 @@
 //   - context-propagated trace spans with run/request IDs (span.go),
 //     exported as NDJSON to a file, a bounded in-memory ring (the
 //     service's GET /v1/trace/{job} tail), or both;
-//   - fixed-bucket counters-only histograms (hist.go) that feed the
-//     service's expvar map and its Prometheus text exposition (prom.go);
+//   - fixed-bucket counters-only histograms (hist.go) and the metric
+//     registry that renders them, with the service's counters and
+//     gauges, as Prometheus text exposition (prom.go);
 //   - a slow-task log (slowlog.go): task attempts exceeding N× the
 //     running median duration for their label produce a structured
 //     event carrying label, attempt, and span ID;

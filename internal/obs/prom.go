@@ -185,11 +185,22 @@ var sampleRE = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})?\s+([^
 // labelRE matches one k="v" pair inside a label set.
 var labelRE = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"$`)
 
+// ParseError is the error ParseProm returns for input it cannot accept:
+// the 1-based line number and what is wrong there.
+type ParseError struct {
+	Line int
+	Err  error
+}
+
+func (e *ParseError) Error() string { return fmt.Sprintf("obs: line %d: %v", e.Line, e.Err) }
+
+func (e *ParseError) Unwrap() error { return e.Err }
+
 // ParseProm parses a Prometheus text exposition strictly: every
 // non-blank line must be a well-formed comment (# HELP / # TYPE) or a
-// sample, else the parse fails naming the offending line. The obs-smoke
-// gate uses this to assert the endpoint emits zero unparseable lines;
-// cmd/mctload uses it to fold server-side histograms into its report.
+// sample, else the parse fails with a *ParseError naming the offending
+// line. The obs-smoke gate uses this to assert the endpoint emits zero
+// unparseable lines, and the tests read every service metric through it.
 func ParseProm(r io.Reader) ([]Sample, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -204,13 +215,13 @@ func ParseProm(r io.Reader) ([]Sample, error) {
 		if strings.HasPrefix(line, "#") {
 			fields := strings.Fields(line)
 			if len(fields) < 3 || (fields[1] != "HELP" && fields[1] != "TYPE") {
-				return nil, fmt.Errorf("obs: line %d: malformed comment %q", lineno, line)
+				return nil, &ParseError{lineno, fmt.Errorf("malformed comment %q", line)}
 			}
 			continue
 		}
 		m := sampleRE.FindStringSubmatch(line)
 		if m == nil {
-			return nil, fmt.Errorf("obs: line %d: unparseable sample %q", lineno, line)
+			return nil, &ParseError{lineno, fmt.Errorf("unparseable sample %q", line)}
 		}
 		s := Sample{Name: m[1]}
 		if m[2] != "" {
@@ -220,7 +231,7 @@ func ParseProm(r io.Reader) ([]Sample, error) {
 				for _, pair := range splitLabels(inner) {
 					lm := labelRE.FindStringSubmatch(strings.TrimSpace(pair))
 					if lm == nil {
-						return nil, fmt.Errorf("obs: line %d: malformed label %q", lineno, pair)
+						return nil, &ParseError{lineno, fmt.Errorf("malformed label %q", pair)}
 					}
 					s.Labels[lm[1]] = unescapeLabel(lm[2])
 				}
@@ -228,13 +239,15 @@ func ParseProm(r io.Reader) ([]Sample, error) {
 		}
 		v, err := strconv.ParseFloat(m[3], 64)
 		if err != nil {
-			return nil, fmt.Errorf("obs: line %d: value %q: %v", lineno, m[3], err)
+			return nil, &ParseError{lineno, fmt.Errorf("value %q: %w", m[3], err)}
 		}
 		s.Value = v
 		out = append(out, s)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		// The line after the last one scanned could not be read (too
+		// long, or the reader failed).
+		return nil, &ParseError{lineno + 1, err}
 	}
 	return out, nil
 }
@@ -342,17 +355,16 @@ func leValue(le string) float64 {
 	return v
 }
 
-// ParsedHistogram is a histogram reassembled from an exposition scrape
-// (cmd/mctload folds these into its BENCH report).
+// ParsedHistogram is a histogram reassembled from an exposition scrape.
 type ParsedHistogram struct {
-	Name    string         `json:"name"`
-	Count   uint64         `json:"count"`
-	Sum     float64        `json:"sum"`
-	Buckets []ParsedBucket `json:"buckets"`
+	Name    string
+	Count   uint64
+	Sum     float64
+	Buckets []ParsedBucket
 }
 
 // ParsedBucket is one cumulative bucket of a ParsedHistogram.
 type ParsedBucket struct {
-	LE              string `json:"le"`
-	CumulativeCount uint64 `json:"n"`
+	LE              string
+	CumulativeCount uint64
 }

@@ -107,8 +107,8 @@ type brownout struct {
 	overStrk  int
 	underStrk int
 
-	transitions counter
-	sheds       counter
+	transitions atomic.Uint64
+	sheds       atomic.Uint64
 
 	stop     chan struct{}
 	stopOnce sync.Once

@@ -171,18 +171,21 @@ type classifyStats struct {
 // context is checked once per batch so an abandoned request stops doing
 // work promptly. src.Err() is consulted after the source ends (a
 // trace.Reader's decode error, truncation, or limit violation): a failed
-// source aborts the run before the summary line, so a truncated or
-// over-limit upload never masquerades as a complete classification.
-func runClassify(ctx context.Context, spec ClassifySpec, src trace.BatchSource, emit func(v any) error) (classifyStats, error) {
+// source aborts the run before the summary, so a truncated or over-limit
+// upload never masquerades as a complete classification. The summary
+// line is returned, not emitted: the caller writes it last, after
+// whatever must precede the final byte (an HTTP handler finishes its
+// job first).
+func runClassify(ctx context.Context, spec ClassifySpec, src trace.BatchSource, emit func(v any) error) (classifyStats, classifySummaryLine, error) {
 	var st classifyStats
 	run, err := classify.NewRun(spec.cacheConfig(), spec.TagBits)
 	if err != nil {
-		return st, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return st, classifySummaryLine{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	bc := sim.NewBatchClassifier(run, 0)
 	for {
 		if cerr := ctx.Err(); cerr != nil {
-			return st, cerr
+			return st, classifySummaryLine{}, cerr
 		}
 		n, m := bc.Classify(src)
 		if n == 0 {
@@ -205,7 +208,7 @@ func runClassify(ctx context.Context, spec ClassifySpec, src trace.BatchSource, 
 					line.MCT = run.Classes[i].String()
 				}
 				if err := emit(line); err != nil {
-					return st, err
+					return st, classifySummaryLine{}, err
 				}
 				st.Emitted++
 			}
@@ -213,7 +216,7 @@ func runClassify(ctx context.Context, spec ClassifySpec, src trace.BatchSource, 
 		st.Records += uint64(m)
 	}
 	if err := src.Err(); err != nil {
-		return st, err
+		return st, classifySummaryLine{}, err
 	}
 	sum := ClassifySummary{
 		Workload:    spec.Workload,
@@ -226,13 +229,12 @@ func runClassify(ctx context.Context, spec ClassifySpec, src trace.BatchSource, 
 		CapacityAcc: run.Acc.CapacityAccuracy(),
 		OverallAcc:  run.Acc.OverallAccuracy(),
 	}
-	if err := emit(struct {
-		Summary ClassifySummary `json:"summary"`
-	}{sum}); err != nil {
-		return st, err
-	}
-	st.Emitted++
-	return st, nil
+	return st, classifySummaryLine{sum}, nil
+}
+
+// classifySummaryLine is the trailing NDJSON record of a classification.
+type classifySummaryLine struct {
+	Summary ClassifySummary `json:"summary"`
 }
 
 // specStream builds the access stream a normalized spec describes: the

@@ -389,7 +389,7 @@ func strictUnmarshal(data []byte, v any) error {
 // byte for byte.
 func (s *Service) classifyRaw(ctx context.Context, spec ClassifySpec) (json.RawMessage, error) {
 	var buf bytes.Buffer
-	st, err := runClassify(ctx, spec, trace.NewStreamBatcher(specStream(spec)), func(v any) error {
+	emit := func(v any) error {
 		enc, merr := json.Marshal(v)
 		if merr != nil {
 			return fmt.Errorf("service: encoding result line: %w", merr)
@@ -397,10 +397,15 @@ func (s *Service) classifyRaw(ctx context.Context, spec ClassifySpec) (json.RawM
 		buf.Write(enc)
 		buf.WriteByte('\n')
 		return nil
-	})
+	}
+	st, sum, err := runClassify(ctx, spec, trace.NewStreamBatcher(specStream(spec)), emit)
+	if err == nil {
+		err = emit(sum)
+	}
 	if err != nil {
 		return nil, err
 	}
+	st.Emitted++
 	s.records.Add(st.Records)
 	return json.Marshal(classifyArtifact{Body: buf.Bytes(), Stats: st, Summary: true})
 }

@@ -26,8 +26,8 @@ import (
 //	GET  /v1/jobs/{id}  job status, attempts, partial failures
 //	GET  /v1/trace/{job} the job's buffered trace spans — NDJSON
 //	GET  /healthz       200 ok / 503 draining
-//	GET  /metrics       expvar counters as JSON;
-//	                    ?format=prometheus for the text exposition
+//	GET  /metrics       the metric registry as Prometheus text
+//	                    exposition (version 0.0.4)
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/classify", s.idempotent(s.handleClassify))
@@ -193,7 +193,11 @@ func stateOf(err error) (JobState, string) {
 }
 
 // finishJob records a job's outcome in the registry and the journal and
-// feeds the retry metric.
+// feeds the retry metric. Every handler calls it before it writes the
+// response's last line (summary, error record, or a memoized body), so a
+// client that has read a response to its end always finds the job
+// terminal at GET /v1/jobs/{id}. The emitted count therefore includes
+// that last line, which the client may still fail to receive.
 func (s *Service) finishJob(id string, err error, records, emitted, hits, misses uint64) {
 	s.jobs.Finish(id, err, records, emitted, hits, misses)
 	state, errText := stateOf(err)
@@ -300,9 +304,11 @@ func (s *Service) classifySpecRequest(w http.ResponseWriter, r *http.Request, id
 			} else {
 				misses = 1
 			}
+			s.finishJob(id, nil, res.art.Stats.Records, res.art.Stats.Emitted, hits, misses)
 			w.Header().Set("Content-Type", "application/x-ndjson")
-			_, werr := w.Write(res.art.Body)
-			s.finishJob(id, werr, res.art.Stats.Records, res.art.Stats.Emitted, hits, misses)
+			// A failed write means the client left; the result is memoized,
+			// so its retry replays these bytes.
+			_, _ = w.Write(res.art.Body)
 			return
 		case <-r.Context().Done():
 			err = r.Context().Err()
@@ -344,19 +350,20 @@ func (s *Service) classifyUploadRequest(w http.ResponseWriter, r *http.Request, 
 
 	nw := newNDJSONWriter(w)
 	_, sp := obs.Start(r.Context(), "classify.upload")
-	st, err := runClassify(r.Context(), spec, rd, nw.emit)
+	st, sum, err := runClassify(r.Context(), spec, rd, nw.emit)
 	sp.Int("records", int64(st.Records))
 	sp.Err(err)
 	sp.End()
 	if err != nil {
 		// The status line is long gone; the error becomes the last record
 		// and the job's failure state.
+		s.finishJob(id, err, st.Records, nw.emitted+1, 0, 0)
 		_ = nw.emit(errorBody{Error: err.Error(), Status: statusFor(err)})
-		s.finishJob(id, err, st.Records, nw.emitted, 0, 0)
 		return
 	}
 	s.records.Add(st.Records)
-	s.finishJob(id, nil, st.Records, nw.emitted, 0, 0)
+	s.finishJob(id, nil, st.Records, nw.emitted+1, 0, 0)
+	_ = nw.emit(sum)
 }
 
 // specFromQuery maps the upload path's query parameters onto a spec.
@@ -452,10 +459,10 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	s.finishJob(id, runErr, uint64(len(lines)), nw.emitted+1, hits, misses)
 	_ = nw.emit(struct {
 		Summary sweepSummary `json:"summary"`
 	}{sweepSummary{Experiments: len(lines), OK: ok, Failed: len(lines) - ok}})
-	s.finishJob(id, runErr, uint64(len(lines)), nw.emitted, hits, misses)
 }
 
 // handleJob serves GET /v1/jobs/{id}.
@@ -484,18 +491,14 @@ func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	_, _ = w.Write([]byte(`{"status":"ok"}` + "\n"))
 }
 
-// handleMetrics serves GET /metrics: the service's expvar map as JSON
-// by default, or the Prometheus text exposition (version 0.0.4) with
-// ?format=prometheus. Metrics never sit behind the admission gate — a
-// draining or saturated instance must still be observable.
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.reg.WriteText(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = fmt.Fprintln(w, s.vars.String())
+// handleMetrics serves GET /metrics: the registry in the Prometheus text
+// exposition format (version 0.0.4), its only format. Query parameters
+// are ignored, so scrapers that send ?format=prometheus get the same
+// text. Metrics never sit behind the admission gate — a draining or
+// saturated instance must still be observable.
+func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = s.reg.WriteText(w)
 }
 
 // handleTrace serves GET /v1/trace/{job}: the job's spans still held by

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -388,20 +389,23 @@ func TestAdmissionOverflowHTTP(t *testing.T) {
 	}
 }
 
-// waitInflight polls /metrics until queue_inflight reaches n.
+// waitInflight polls /metrics until mct_queue_inflight reaches n.
 func waitInflight(t *testing.T, base string, n float64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		m := scrapeMetrics(t, base)
-		if m["queue_inflight"] >= n {
+		if m["mct_queue_inflight"] >= n {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("queue_inflight never reached %v", n)
+	t.Fatalf("mct_queue_inflight never reached %v", n)
 }
 
+// scrapeMetrics fetches GET /metrics, parses it strictly, and returns the
+// unlabelled samples by name (histogram buckets carry an le label and are
+// left out; their _sum and _count series stay in).
 func scrapeMetrics(t *testing.T, base string) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
@@ -409,9 +413,18 @@ func scrapeMetrics(t *testing.T, base string) map[string]float64 {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m map[string]float64
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatalf("metrics is not flat JSON numbers: %v", err)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics = %d", resp.StatusCode)
+	}
+	samples, err := obs.ParseProm(resp.Body)
+	if err != nil {
+		t.Fatalf("metrics exposition does not parse: %v", err)
+	}
+	m := map[string]float64{}
+	for _, s := range samples {
+		if s.Labels == nil {
+			m[s.Name] = s.Value
+		}
 	}
 	return m
 }
@@ -444,15 +457,15 @@ func TestHealthzAndDrain(t *testing.T) {
 	}
 
 	m := scrapeMetrics(t, srv.URL)
-	if m["draining"] != 1 || m["jobs_rejected_drain"] < 1 {
-		t.Errorf("metrics = draining %v, rejected_drain %v", m["draining"], m["jobs_rejected_drain"])
+	if m["mct_draining"] != 1 || m["mct_jobs_rejected_drain_total"] < 1 {
+		t.Errorf("metrics = draining %v, rejected_drain %v", m["mct_draining"], m["mct_jobs_rejected_drain_total"])
 	}
 }
 
 // TestMetricsServedWhileDraining pins that observability never sits
 // behind the admission gate: with the drain gate shut (new work 503s),
-// GET /metrics — both the JSON map and the Prometheus exposition — must
-// still answer 200. A draining instance that goes dark is exactly the
+// GET /metrics — with and without the historical ?format=prometheus —
+// must still answer 200. A draining instance that goes dark is exactly the
 // instance operators most need to watch.
 func TestMetricsServedWhileDraining(t *testing.T) {
 	s, srv := newTestService(t, Config{})
@@ -464,9 +477,9 @@ func TestMetricsServedWhileDraining(t *testing.T) {
 		t.Fatalf("classify while draining = %d, want 503 (gate not shut?)", reject.StatusCode)
 	}
 
-	m := scrapeMetrics(t, srv.URL) // fails the test on any non-200 / non-JSON
-	if m["draining"] != 1 {
-		t.Errorf("draining gauge = %v, want 1", m["draining"])
+	m := scrapeMetrics(t, srv.URL) // fails the test on any non-200 / unparseable line
+	if m["mct_draining"] != 1 {
+		t.Errorf("draining gauge = %v, want 1", m["mct_draining"])
 	}
 	resp, err := http.Get(srv.URL + "/metrics?format=prometheus")
 	if err != nil {

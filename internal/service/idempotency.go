@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"sync"
+	"sync/atomic"
 )
 
 // IdemHeader carries a client's idempotency key. Mirrors
@@ -47,9 +48,9 @@ type idemStore struct {
 	maxEntries int
 	maxBody    int
 
-	replayed counter
-	inflight counter // duplicate-while-running collapses
-	stored   counter
+	replayed atomic.Uint64
+	inflight atomic.Uint64 // duplicate-while-running collapses
+	stored   atomic.Uint64
 }
 
 func newIdemStore(maxEntries, maxBody int) *idemStore {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/journal"
@@ -41,8 +42,8 @@ type jobRecord struct {
 type jobLog struct {
 	j      *journal.Journal
 	logf   func(format string, args ...any)
-	errs   *counter
-	writes *counter
+	errs   *atomic.Uint64
+	writes *atomic.Uint64
 }
 
 func (l *jobLog) append(rec jobRecord, sync bool) {

@@ -226,15 +226,16 @@ type mrcArtifact struct {
 // charge, when non-nil, is called once per batch with the newly
 // sampled-reference count — the tenant quota hook; its error aborts
 // the stream mid-flight. After the source drains cleanly, the points
-// stream in ascending size order followed by the summary.
-func runMRC(ctx context.Context, spec MRCSpec, src trace.BatchSource, emit func(v any) error, charge func(samples uint64) error) (mrcStats, error) {
+// stream in ascending size order; the summary line is returned for the
+// caller to write last (as runClassify's is).
+func runMRC(ctx context.Context, spec MRCSpec, src trace.BatchSource, emit func(v any) error, charge func(samples uint64) error) (mrcStats, mrcSummaryLine, error) {
 	var st mrcStats
 	prof := mrc.New(mrc.Config{Rate: spec.Rate, MaxSampled: spec.MaxSampled, LineSize: spec.LineSize})
 	runs := make([]*classify.Run, len(spec.SizesKB))
 	for i, kb := range spec.SizesKB {
 		run, err := classify.NewRun(spec.cacheConfig(kb), spec.TagBits)
 		if err != nil {
-			return st, fmt.Errorf("%w: %v", ErrBadRequest, err)
+			return st, mrcSummaryLine{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 		runs[i] = run
 	}
@@ -244,7 +245,7 @@ func runMRC(ctx context.Context, spec MRCSpec, src trace.BatchSource, emit func(
 	var lastSampled uint64
 	for {
 		if cerr := ctx.Err(); cerr != nil {
-			return st, cerr
+			return st, mrcSummaryLine{}, cerr
 		}
 		n := src.ReadBatch(batch, trace.DefaultBatchSize)
 		if n == 0 {
@@ -265,13 +266,13 @@ func runMRC(ctx context.Context, spec MRCSpec, src trace.BatchSource, emit func(
 		if charge != nil {
 			cur := prof.SampledRefs()
 			if err := charge(cur - lastSampled); err != nil {
-				return st, err
+				return st, mrcSummaryLine{}, err
 			}
 			lastSampled = cur
 		}
 	}
 	if err := src.Err(); err != nil {
-		return st, err
+		return st, mrcSummaryLine{}, err
 	}
 	ps := prof.Stats()
 	st.Samples = ps.Sampled
@@ -300,7 +301,7 @@ func runMRC(ctx context.Context, spec MRCSpec, src trace.BatchSource, emit func(
 		if err := emit(struct {
 			Point mrcPoint `json:"point"`
 		}{pt}); err != nil {
-			return st, err
+			return st, mrcSummaryLine{}, err
 		}
 		st.Emitted++
 	}
@@ -314,13 +315,12 @@ func runMRC(ctx context.Context, spec MRCSpec, src trace.BatchSource, emit func(
 		RateFinal:   ps.RateFinal,
 		Points:      len(spec.SizesKB),
 	}
-	if err := emit(struct {
-		Summary MRCSummary `json:"summary"`
-	}{sum}); err != nil {
-		return st, err
-	}
-	st.Emitted++
-	return st, nil
+	return st, mrcSummaryLine{sum}, nil
+}
+
+// mrcSummaryLine is the trailing NDJSON record of an MRC profile.
+type mrcSummaryLine struct {
+	Summary MRCSummary `json:"summary"`
 }
 
 // mrcRaw computes one spec-path MRC profile and returns the marshaled
@@ -328,7 +328,7 @@ func runMRC(ctx context.Context, spec MRCSpec, src trace.BatchSource, emit func(
 // forwarded cells, and cache replay agree byte for byte.
 func (s *Service) mrcRaw(ctx context.Context, spec MRCSpec) (json.RawMessage, error) {
 	var buf bytes.Buffer
-	st, err := runMRC(ctx, spec, trace.NewStreamBatcher(spec.stream()), func(v any) error {
+	emit := func(v any) error {
 		enc, merr := json.Marshal(v)
 		if merr != nil {
 			return fmt.Errorf("service: encoding result line: %w", merr)
@@ -336,10 +336,15 @@ func (s *Service) mrcRaw(ctx context.Context, spec MRCSpec) (json.RawMessage, er
 		buf.Write(enc)
 		buf.WriteByte('\n')
 		return nil
-	}, nil)
+	}
+	st, sum, err := runMRC(ctx, spec, trace.NewStreamBatcher(spec.stream()), emit, nil)
+	if err == nil {
+		err = emit(sum)
+	}
 	if err != nil {
 		return nil, err
 	}
+	st.Emitted++
 	s.records.Add(st.Records)
 	s.mrcSamples.Add(st.Samples)
 	return json.Marshal(mrcArtifact{Body: buf.Bytes(), Stats: st})
@@ -470,9 +475,11 @@ func (s *Service) mrcSpecRequest(w http.ResponseWriter, r *http.Request, id, ten
 		// request hits the precheck.
 		_ = s.tenants.charge(tenant, art.Stats.Samples, 0)
 	}
+	s.finishJob(id, nil, art.Stats.Records, art.Stats.Emitted, hits, misses)
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	_, werr := w.Write(art.Body)
-	s.finishJob(id, werr, art.Stats.Records, art.Stats.Emitted, hits, misses)
+	// A failed write means the client left; the result is memoized, so
+	// its retry replays these bytes.
+	_, _ = w.Write(art.Body)
 }
 
 // countingReader counts bytes read from an upload body so ingest can be
@@ -527,7 +534,7 @@ func (s *Service) mrcUploadRequest(w http.ResponseWriter, r *http.Request, id, t
 
 	nw := newNDJSONWriter(w)
 	_, sp := obs.Start(r.Context(), "mrc.upload")
-	st, err := runMRC(r.Context(), spec, rd, nw.emit, func(samples uint64) error {
+	st, sum, err := runMRC(r.Context(), spec, rd, nw.emit, func(samples uint64) error {
 		nb := cr.take()
 		s.mrcSamples.Add(samples)
 		s.mrcIngest.Add(nb)
@@ -541,12 +548,13 @@ func (s *Service) mrcUploadRequest(w http.ResponseWriter, r *http.Request, id, t
 	sp.Err(err)
 	sp.End()
 	if err != nil {
+		s.finishJob(id, err, st.Records, nw.emitted+1, 0, 0)
 		_ = nw.emit(errorBody{Error: err.Error(), Status: statusFor(err)})
-		s.finishJob(id, err, st.Records, nw.emitted, 0, 0)
 		return
 	}
 	s.records.Add(st.Records)
-	s.finishJob(id, nil, st.Records, nw.emitted, 0, 0)
+	s.finishJob(id, nil, st.Records, nw.emitted+1, 0, 0)
+	_ = nw.emit(sum)
 }
 
 // mrcSpecFromQuery maps the upload path's query parameters onto a spec.

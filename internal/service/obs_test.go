@@ -81,6 +81,44 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestPrometheusHistogramCounts checks the histogram counts one classify
+// leaves in the exposition, and that the plain counters sit alongside them.
+func TestPrometheusHistogramCounts(t *testing.T) {
+	_, srv := newTestService(t, Config{})
+	classifyOnce(t, srv.URL)
+
+	resp, err := http.Get(srv.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	samples, err := obs.ParseProm(resp.Body)
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	byName := map[string]float64{}
+	for _, s := range samples {
+		if s.Labels == nil {
+			byName[s.Name] = s.Value
+		}
+	}
+	if got := byName["mct_classify_duration_seconds_count"]; got != 1 {
+		t.Errorf("mct_classify_duration_seconds_count = %v, want 1", got)
+	}
+	// The one classify formed one batch.
+	if got := byName["mct_classify_batch_size_count"]; got != 1 {
+		t.Errorf("mct_classify_batch_size_count = %v, want 1", got)
+	}
+	if got := byName["mct_classify_duration_seconds_sum"]; got < 0 {
+		t.Errorf("mct_classify_duration_seconds_sum = %v", got)
+	}
+	for _, name := range []string{"mct_jobs_accepted_total", "mct_queue_inflight", "mct_cache_hits_total", "mct_records_total"} {
+		if _, ok := byName[name]; !ok {
+			t.Errorf("counter %q missing from the exposition", name)
+		}
+	}
+}
+
 // TestMetricNamingConvention is the vet-style gate: every metric the
 // service registers must satisfy the repo's naming rules. New metrics
 // that violate the convention fail here (and would already have panicked
@@ -147,28 +185,5 @@ func TestTraceEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown trace status = %d, want 404", resp2.StatusCode)
-	}
-}
-
-func TestExpvarHistogramDigestsAreFlat(t *testing.T) {
-	_, srv := newTestService(t, Config{})
-	classifyOnce(t, srv.URL)
-	// scrapeMetrics fails the test if any value is non-numeric — the
-	// flat-JSON contract the pre-existing clients rely on.
-	m := scrapeMetrics(t, srv.URL)
-	if m["classify_latency_count"] != 1 {
-		t.Errorf("classify_latency_count = %v, want 1", m["classify_latency_count"])
-	}
-	if m["batch_size_count"] != 1 {
-		t.Errorf("batch_size_count = %v, want 1", m["batch_size_count"])
-	}
-	if m["classify_latency_p50_ms"] < 0 {
-		t.Errorf("classify_latency_p50_ms = %v", m["classify_latency_p50_ms"])
-	}
-	// Pre-existing keys must still be present alongside the digests.
-	for _, key := range []string{"jobs_accepted", "queue_inflight", "cache_hits", "records_total"} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("pre-existing expvar key %q lost", key)
-		}
 	}
 }

@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -61,6 +63,7 @@ func TestSweepKillAndResume(t *testing.T) {
 	// Step 2: construct the post-kill state — fig2 finished before the
 	// kill, fig1 did not.
 	r1 := postJSON(t, srv.URL+"/v1/sweep", `{"experiments":["fig2"],"accesses":20000,"instructions":20000}`)
+	readAll(t, r1.Body)
 	r1.Body.Close()
 	if r1.StatusCode != http.StatusOK {
 		t.Fatalf("seeding sweep: status %d", r1.StatusCode)
@@ -85,9 +88,9 @@ func TestSweepKillAndResume(t *testing.T) {
 			job.CacheHits, job.CacheMisses)
 	}
 	m := scrapeMetrics(t, srv.URL)
-	if m["cache_hits"] != 1 || m["cache_misses"] != 2 {
-		t.Errorf("metrics: cache_hits %v cache_misses %v, want 1/2 (fig2 seed, fig1 resume, fig2 replay)",
-			m["cache_hits"], m["cache_misses"])
+	if m["mct_cache_hits_total"] != 1 || m["mct_cache_misses_total"] != 2 {
+		t.Errorf("metrics: mct_cache_hits_total %v mct_cache_misses_total %v, want 1/2 (fig2 seed, fig1 resume, fig2 replay)",
+			m["mct_cache_hits_total"], m["mct_cache_misses_total"])
 	}
 
 	// Both cells streamed results.
@@ -104,10 +107,65 @@ func TestSweepKillAndResume(t *testing.T) {
 
 	// A third, fully-warm submission computes nothing at all.
 	r3 := postJSON(t, srv.URL+"/v1/sweep", full)
+	readAll(t, r3.Body)
 	r3.Body.Close()
 	var j3 Job
 	decodeJob(t, srv.URL, r3.Header.Get("X-Mct-Job"), &j3)
 	if j3.CacheHits != 2 || j3.CacheMisses != 0 {
 		t.Errorf("warm sweep: hits %d misses %d, want 2/0", j3.CacheHits, j3.CacheMisses)
+	}
+}
+
+// TestJobTerminalOnceSummaryRead pins the service guarantee the sweep
+// test above leans on: every handler finishes its job before it writes
+// the response's last line, so a client that has just read the summary
+// finds the job terminal at GET /v1/jobs/{id} — no polling. Each request
+// kind runs a few times, cold and warm, because a regression shows up as
+// a race, not a deterministic failure.
+func TestJobTerminalOnceSummaryRead(t *testing.T) {
+	s, srv := newTestService(t, Config{})
+	wl := anyWorkload(t)
+	trace := buildTraceV2(t, 5000)
+	cases := []struct {
+		name, path, ctype, body string
+	}{
+		{"sweep", "/v1/sweep", "application/json", `{"experiments":["fig2"],"accesses":3000,"instructions":3000}`},
+		{"classify spec", "/v1/classify", "application/json", fmt.Sprintf(`{"workload":%q,"accesses":3000,"size_kb":8}`, wl)},
+		{"classify upload", "/v1/classify?size_kb=8&assoc=2", "application/octet-stream", string(trace)},
+		{"mrc spec", "/v1/mrc", "application/json", fmt.Sprintf(`{"workload":%q,"accesses":3000,"sizes_kb":[4,8]}`, wl)},
+		{"mrc upload", "/v1/mrc?sizes_kb=4,8", "application/octet-stream", string(trace)},
+	}
+	for _, c := range cases {
+		for i := 0; i < 4; i++ {
+			resp, err := http.Post(srv.URL+c.path, c.ctype, strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s #%d: status %d: %s", c.name, i, resp.StatusCode, readAll(t, resp.Body))
+			}
+			br := bufio.NewReader(resp.Body)
+			for {
+				line, err := br.ReadBytes('\n')
+				if err != nil {
+					t.Fatalf("%s #%d: body ended before a summary line: %v", c.name, i, err)
+				}
+				if bytes.HasPrefix(line, []byte(`{"summary":`)) {
+					break
+				}
+			}
+			// The registry first (no round trip to widen the window), then
+			// the endpoint a client would poll.
+			id := resp.Header.Get("X-Mct-Job")
+			if job, _ := s.jobs.Get(id); job.State != JobDone {
+				t.Fatalf("%s #%d: registry has job %s %q right after its summary line, want %q", c.name, i, id, job.State, JobDone)
+			}
+			var job Job
+			decodeJob(t, srv.URL, id, &job)
+			resp.Body.Close()
+			if job.State != JobDone {
+				t.Fatalf("%s #%d: GET /v1/jobs/%s = %q right after its summary line, want %q", c.name, i, id, job.State, JobDone)
+			}
+		}
 	}
 }

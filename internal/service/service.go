@@ -20,9 +20,9 @@ package service
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -191,24 +191,23 @@ type Service struct {
 	// Tenant quota spine for /v1/mrc: the windowed ledger plus its
 	// counters.
 	tenants      *tenantLedger
-	mrcReqs      counter // /v1/mrc requests past the shed gate
-	mrcSamples   counter // SHARDS-sampled references processed
-	mrcIngest    counter // uploaded trace bytes ingested by /v1/mrc
-	quotaRejects counter // requests rejected by tenant quota
+	mrcReqs      atomic.Uint64 // /v1/mrc requests past the shed gate
+	mrcSamples   atomic.Uint64 // SHARDS-sampled references processed
+	mrcIngest    atomic.Uint64 // uploaded trace bytes ingested by /v1/mrc
+	quotaRejects atomic.Uint64 // requests rejected by tenant quota
 
-	start     time.Time
-	records   counter // simulated records (instructions/accesses), for rate
-	retried   counter
-	slow      counter // slow-task detections (fed by cmd/mctd's slow log)
-	recovered counter // jobs resolved by boot-time recovery
-	jnlWrites counter
-	jnlErrs   counter
-	vars      *expvar.Map
+	records   atomic.Uint64 // simulated records (instructions/accesses)
+	retried   atomic.Uint64
+	slow      atomic.Uint64 // slow-task detections (fed by cmd/mctd's slow log)
+	recovered atomic.Uint64 // jobs resolved by boot-time recovery
+	jnlWrites atomic.Uint64
+	jnlErrs   atomic.Uint64
 
-	// Observability spine: a per-instance metric registry (Prometheus
-	// exposition), the span ring behind GET /v1/trace/{job}, and the
-	// request-path histograms. Per-instance, not process-global, so tests
-	// boot many services without colliding.
+	// Observability spine: the per-instance metric registry (the one
+	// declaration of every metric, served by GET /metrics), the span ring
+	// behind GET /v1/trace/{job}, and the request-path histograms.
+	// Per-instance, not process-global, so tests boot many services
+	// without colliding.
 	reg      *obs.Registry
 	ring     *obs.Ring
 	hAdmit   *obs.Histogram // seconds spent in the admission gate
@@ -223,10 +222,9 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:   cfg,
-		adm:   newAdmission(cfg.Capacity, cfg.MaxWaiters, cfg.PerClient, cfg.AdmitWait),
-		jobs:  newJobs(cfg.MaxJobs),
-		start: time.Now(),
+		cfg:  cfg,
+		adm:  newAdmission(cfg.Capacity, cfg.MaxWaiters, cfg.PerClient, cfg.AdmitWait),
+		jobs: newJobs(cfg.MaxJobs),
 	}
 	s.logf = cfg.Logf
 	s.cluster = cfg.Cluster
@@ -254,7 +252,6 @@ func New(cfg Config) *Service {
 	s.ring = obs.NewRing(cfg.TraceSpans)
 	s.reg = s.buildRegistry()
 	s.bat = newBatcher(cfg.BatchSize, cfg.BatchWait, s.runBatch)
-	s.vars = s.buildVars()
 	s.brown.run()
 	return s
 }
@@ -307,13 +304,8 @@ func (s *Service) Cache() *runner.Cache { return s.cache }
 // and tests.
 func (s *Service) Cluster() *cluster.Cluster { return s.cluster }
 
-// Vars returns the service's metrics as an unpublished expvar.Map —
-// test instances never collide in the process-global expvar registry;
-// cmd/mctd publishes it explicitly.
-func (s *Service) Vars() *expvar.Map { return s.vars }
-
-// Metrics returns the instance's Prometheus metric registry (the
-// naming-convention test and cmd/mctd's wiring read it).
+// Metrics returns the instance's metric registry (the naming-convention
+// test reads it; GET /metrics renders it).
 func (s *Service) Metrics() *obs.Registry { return s.reg }
 
 // TraceRing returns the instance's span ring; cmd/mctd injects it into
@@ -324,9 +316,9 @@ func (s *Service) TraceRing() *obs.Ring { return s.ring }
 // calls this alongside emitting the structured event).
 func (s *Service) NoteSlowTask() { s.slow.Add(1) }
 
-// buildRegistry declares the Prometheus-exposed metrics. Counters and
-// gauges read the same atomics the expvar map reads — registration is a
-// second view over one source of truth, never double accounting.
+// buildRegistry declares every service metric, once. Counters and gauges
+// read the atomics where the state already lives at exposition time, so
+// nothing is double-accounted.
 func (s *Service) buildRegistry() *obs.Registry {
 	r := obs.NewRegistry()
 	r.Counter("mct_jobs_accepted_total", "Requests admitted past the admission gate.",
@@ -335,6 +327,12 @@ func (s *Service) buildRegistry() *obs.Registry {
 		func() float64 {
 			return float64(s.adm.rejectedFull.Load() + s.adm.rejectedClient.Load() + s.adm.rejectedDrain.Load())
 		})
+	r.Counter("mct_jobs_rejected_busy_total", "Requests rejected because admission capacity and the waiting room were full.",
+		func() float64 { return float64(s.adm.rejectedFull.Load()) })
+	r.Counter("mct_jobs_rejected_client_total", "Requests rejected by the per-client in-flight cap.",
+		func() float64 { return float64(s.adm.rejectedClient.Load()) })
+	r.Counter("mct_jobs_rejected_drain_total", "Requests rejected because the instance was draining.",
+		func() float64 { return float64(s.adm.rejectedDrain.Load()) })
 	r.Counter("mct_jobs_retried_total", "Task retries performed by the supervision layer.",
 		func() float64 { return float64(s.retried.Load()) })
 	r.Counter("mct_records_total", "Simulated trace records processed.",
@@ -375,6 +373,8 @@ func (s *Service) buildRegistry() *obs.Registry {
 		func() float64 { return float64(s.adm.Inflight()) })
 	r.Gauge("mct_queue_waiters", "Requests blocked waiting for an admission slot.",
 		func() float64 { return float64(s.adm.Waiters()) })
+	r.Gauge("mct_queue_peak", "Most requests ever in flight at once.",
+		func() float64 { return float64(s.adm.Peak()) })
 	r.Gauge("mct_queue_capacity", "Configured admission capacity.",
 		func() float64 { return float64(s.cfg.Capacity) })
 	r.Gauge("mct_draining", "1 while the admission gate is shut for shutdown.",
@@ -422,100 +422,8 @@ func (s *Service) buildRegistry() *obs.Registry {
 	return r
 }
 
-// counter is a tiny expvar-compatible atomic counter.
-type counter struct{ v expvar.Int }
-
-func (c *counter) Add(n uint64) { c.v.Add(int64(n)) }
-func (c *counter) Load() int64  { return c.v.Value() }
-
-// buildVars wires every metric as a live expvar.Func over the service's
-// state: scraping /metrics always sees current values, nothing is
-// double-accounted.
-func (s *Service) buildVars() *expvar.Map {
-	m := new(expvar.Map).Init()
-	gauge := func(name string, f func() any) { m.Set(name, expvar.Func(f)) }
-	gauge("jobs_accepted", func() any { return s.adm.accepted.Load() })
-	gauge("jobs_rejected_busy", func() any { return s.adm.rejectedFull.Load() })
-	gauge("jobs_rejected_client", func() any { return s.adm.rejectedClient.Load() })
-	gauge("jobs_rejected_drain", func() any { return s.adm.rejectedDrain.Load() })
-	gauge("jobs_rejected", func() any {
-		return s.adm.rejectedFull.Load() + s.adm.rejectedClient.Load() + s.adm.rejectedDrain.Load()
-	})
-	gauge("jobs_retried", func() any { return s.retried.Load() })
-	gauge("queue_inflight", func() any { return s.adm.Inflight() })
-	gauge("queue_waiters", func() any { return s.adm.Waiters() })
-	gauge("queue_peak", func() any { return s.adm.Peak() })
-	gauge("queue_capacity", func() any { return s.cfg.Capacity })
-	gauge("draining", func() any {
-		if s.adm.Draining() {
-			return 1
-		}
-		return 0
-	})
-	gauge("cache_hits", func() any { h, _ := s.cache.Stats(); return h })
-	gauge("cache_misses", func() any { _, mi := s.cache.Stats(); return mi })
-	gauge("cache_hit_rate", func() any {
-		h, mi := s.cache.Stats()
-		if h+mi == 0 {
-			return 0.0
-		}
-		return float64(h) / float64(h+mi)
-	})
-	gauge("records_total", func() any { return s.records.Load() })
-	gauge("records_per_sec", func() any {
-		el := time.Since(s.start).Seconds()
-		if el <= 0 {
-			return 0.0
-		}
-		return float64(s.records.Load()) / el
-	})
-	gauge("mrc_requests", func() any { return s.mrcReqs.Load() })
-	gauge("mrc_samples", func() any { return s.mrcSamples.Load() })
-	gauge("mrc_ingest_bytes", func() any { return s.mrcIngest.Load() })
-	gauge("mrc_quota_rejected", func() any { return s.quotaRejects.Load() })
-	gauge("slow_tasks", func() any { return s.slow.Load() })
-	gauge("journal_records", func() any { return s.jnlWrites.Load() })
-	gauge("journal_errors", func() any { return s.jnlErrs.Load() })
-	gauge("jobs_recovered", func() any { return s.recovered.Load() })
-	gauge("idem_replayed", func() any { return s.idem.replayed.Load() })
-	gauge("idem_stored", func() any { return s.idem.stored.Load() })
-	gauge("idem_coalesced", func() any { return s.idem.inflight.Load() })
-	gauge("brownout_level", func() any { return s.brown.Level() })
-	gauge("brownout_transitions", func() any { return s.brown.transitions.Load() })
-	gauge("brownout_shed", func() any { return s.brown.sheds.Load() })
-	gauge("cluster_forwards", func() any { return s.cluster.Counters().Forwards })
-	gauge("cluster_forward_failures", func() any { return s.cluster.Counters().ForwardFails })
-	gauge("cluster_steals", func() any { return s.cluster.Counters().Steals })
-	gauge("cluster_ejections", func() any { return s.cluster.Counters().Ejections })
-	gauge("cluster_restores", func() any { return s.cluster.Counters().Restores })
-	gauge("cluster_cache_fills", func() any { return s.cluster.Counters().CacheFills })
-	gauge("cluster_cache_pulls", func() any { return s.cluster.Counters().CachePulls })
-	gauge("cluster_cache_pull_hits", func() any { return s.cluster.Counters().PullHits })
-	gauge("cluster_ring_size", func() any {
-		if ring := s.cluster.Ring(); ring != nil {
-			return len(ring.Peers())
-		}
-		return 1
-	})
-	// Histogram digests, flattened to numbers: the expvar map stays
-	// decodable as map[string]float64 (a contract existing clients and
-	// tests rely on); full bucket detail lives in ?format=prometheus.
-	histDigest := func(prefix string, h *obs.Histogram) {
-		gauge(prefix+"_count", func() any { return h.Count() })
-		gauge(prefix+"_p50_ms", func() any { return h.Quantile(0.5) * 1000 })
-		gauge(prefix+"_p99_ms", func() any { return h.Quantile(0.99) * 1000 })
-	}
-	histDigest("admit_wait", s.hAdmit)
-	histDigest("classify_latency", s.hClassif)
-	histDigest("sweep_latency", s.hSweep)
-	histDigest("mrc_latency", s.hMRC)
-	gauge("batch_size_count", func() any { return s.hBatch.Count() })
-	gauge("batch_size_p50", func() any { return s.hBatch.Quantile(0.5) })
-	return m
-}
-
-// noteRetries feeds the jobs_retried counter from a finished job's
-// failure structure (attempt counts above 1 mean the supervision layer
+// noteRetries feeds the mct_jobs_retried_total counter from a finished
+// job's failure structure (attempt counts above 1 mean the supervision layer
 // retried).
 func (s *Service) noteRetries(failures []Failure) {
 	for _, f := range failures {

@@ -122,7 +122,7 @@ func (h *Histogram) Overflow() uint64 { return h.over }
 // samples are <= v, in units of bucket upper bounds. Overflowed samples
 // report the overflow boundary.
 //
-// The quantile follows perf.Percentile's nearest-rank rule — rank
+// The quantile follows loadgen.Percentile's nearest-rank rule — rank
 // ceil(p·n), so the two packages agree on shared sample sets — and is
 // validated the same way: NaN and p <= 0 clamp to the first sample's
 // bucket, p >= 1 to the last. (Previously NaN and out-of-range p were

@@ -170,3 +170,25 @@ func TestTableCSV(t *testing.T) {
 		t.Error("Title accessor wrong")
 	}
 }
+
+// TestHistogramPercentileValidation pins the clamp semantics directly:
+// NaN and p <= 0 answer like the minimum sample, p >= 1 like the
+// maximum — never the overflow boundary unless samples overflowed.
+func TestHistogramPercentileValidation(t *testing.T) {
+	h := NewHistogram(100, 1)
+	for _, v := range []uint64{10, 20, 30} {
+		h.Add(v)
+	}
+	if got := h.Percentile(math.NaN()); got != 11 {
+		t.Errorf("NaN percentile = %d, want the min bucket bound 11", got)
+	}
+	if got := h.Percentile(-3); got != 11 {
+		t.Errorf("p=-3 percentile = %d, want 11", got)
+	}
+	if got := h.Percentile(2); got != 31 {
+		t.Errorf("p=2 percentile = %d, want the max bucket bound 31, not the overflow bound", got)
+	}
+	if got := h.Percentile(1); got != 31 {
+		t.Errorf("p=1 percentile = %d, want 31", got)
+	}
+}
