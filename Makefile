@@ -154,14 +154,19 @@ vulncheck:
 		echo "vulncheck: govulncheck not installed; skipping"; \
 	fi
 
-# Short fuzz passes over the binary trace decoder and the metrics
-# exposition parser; CI runs the seed corpus via `make test`, this target
-# digs deeper locally.
+# Short fuzz passes over the binary trace decoder, the metrics
+# exposition parser, the NDJSON access-line renderer (byte identity with
+# encoding/json), the memo-cache entry decoder and the journal segment
+# replay; CI runs the seed corpora via `make test`, this target digs
+# deeper locally.
 fuzz:
 	$(GO) test -fuzz FuzzReadTrace -fuzztime 30s ./internal/trace
 	$(GO) test -fuzz 'FuzzRoundTrip$$' -fuzztime 30s ./internal/trace
 	$(GO) test -fuzz FuzzBatchRoundTrip -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseProm -fuzztime 30s ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzAccessLine -fuzztime 30s ./internal/service
+	$(GO) test -run '^$$' -fuzz FuzzMemoEntry -fuzztime 30s ./internal/runner
+	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 30s ./internal/journal
 
 # Drop all memoized experiment results (results/cache is also safely
 # deletable by hand; entries are invalidated automatically when the code

@@ -368,7 +368,7 @@ func (c *Cluster) logf(format string, args ...any) {
 // concurrent local caller that needs the same key.
 type flight struct {
 	done chan struct{}
-	raw  json.RawMessage
+	raw  []byte
 	hit  bool
 	err  error
 }
@@ -379,7 +379,7 @@ type flight struct {
 // does server-side. hit reports the owner's cache disposition. The
 // error, if any, is terminal after the client's retries — callers fall
 // back to pulling or computing locally.
-func (c *Cluster) ExecCell(ctx context.Context, owner string, req CellRequest, fm ForwardMeta) (json.RawMessage, bool, error) {
+func (c *Cluster) ExecCell(ctx context.Context, owner string, req CellRequest, fm ForwardMeta) ([]byte, bool, error) {
 	if c == nil {
 		return nil, false, fmt.Errorf("cluster: not configured")
 	}
@@ -424,7 +424,7 @@ func (c *Cluster) claim(fkey string) (*flight, bool) {
 }
 
 // lead executes the forward as the flight leader and resolves waiters.
-func (c *Cluster) lead(ctx context.Context, fkey, owner string, req CellRequest, fm ForwardMeta) (json.RawMessage, bool, error) {
+func (c *Cluster) lead(ctx context.Context, fkey, owner string, req CellRequest, fm ForwardMeta) ([]byte, bool, error) {
 	raw, hit, err := c.forward(ctx, owner, req, fm)
 	c.mu.Lock()
 	f := c.inflight[fkey]
@@ -439,7 +439,7 @@ func (c *Cluster) lead(ctx context.Context, fkey, owner string, req CellRequest,
 
 // forward issues the actual POST /v1/cluster/cell through the peer's
 // resilient client (retries, backoff, Retry-After all apply).
-func (c *Cluster) forward(ctx context.Context, owner string, req CellRequest, fm ForwardMeta) (json.RawMessage, bool, error) {
+func (c *Cluster) forward(ctx context.Context, owner string, req CellRequest, fm ForwardMeta) ([]byte, bool, error) {
 	p := c.peerFor(owner)
 	if p == nil {
 		return nil, false, fmt.Errorf("cluster: unknown peer %q", owner)
@@ -474,7 +474,7 @@ func (c *Cluster) forward(ctx context.Context, owner string, req CellRequest, fm
 // PullCache fetches a finished cell from a peer's memo cache (GET
 // /v1/cache/{key}) without triggering any computation. ok=false on a
 // clean remote miss; err on transport failure.
-func (c *Cluster) PullCache(ctx context.Context, owner, slug, key string) (json.RawMessage, bool, error) {
+func (c *Cluster) PullCache(ctx context.Context, owner, slug, key string) ([]byte, bool, error) {
 	if c == nil {
 		return nil, false, nil
 	}

@@ -2,10 +2,13 @@ package runner
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -16,8 +19,10 @@ import (
 )
 
 // cacheSchema versions the on-disk entry format itself. Bump it when the
-// envelope or key derivation changes; every old entry then misses cleanly.
-const cacheSchema = 1
+// entry framing or key derivation changes; every old entry then misses
+// cleanly (the schema is part of the key, so old entries are not even
+// read). Schema 1 was a JSON envelope; schema 2 is encodeEntry's frame.
+const cacheSchema = 2
 
 // DefaultCacheDir is where cmd/paperbench memoizes experiment results,
 // relative to the working directory.
@@ -28,9 +33,10 @@ const DefaultCacheDir = "results/cache"
 const QuarantineDirName = "quarantine"
 
 // Cache is an on-disk memoization store for experiment results. Entries
-// are JSON files named by the hex key, written atomically (temp file +
-// rename) so a crashed or concurrent run never leaves a torn entry. A nil
-// *Cache is valid and always misses — the -nocache escape hatch.
+// are CRC-framed files named by the hex key, written atomically (temp
+// file + rename) so a crashed or concurrent run never leaves a torn
+// entry. A nil *Cache is valid and always misses — the -nocache escape
+// hatch.
 //
 // Corrupt or unreadable entries (a torn write from a crashed kernel, a
 // truncated disk, manual editing) are not silently overwritten: load
@@ -173,15 +179,70 @@ func fileDigest(path string) (string, bool) {
 // CodeVersion returns the code-version component of cache keys.
 func CodeVersion() string { return codeVersionOnce() }
 
-// entry is the on-disk envelope around a cached result.
-type entry struct {
-	Schema int             `json:"schema"`
-	Slug   string          `json:"slug"`
-	Result json.RawMessage `json:"result"`
+// An entry file (schema 2) is the payload framed for torn-write and
+// bit-rot detection, in the CRC-framing idiom of internal/journal:
+//
+//	"MCTM" | u16 schema | u16 slug length | slug | u64 payload length | payload | u32 CRC32-C
+//
+// Integers are little-endian and the CRC covers every byte before it.
+// The payload is stored verbatim, so neither a store nor a load scans
+// or re-encodes it: a load is one read, one CRC pass and a slice.
+const (
+	entryMagic   = "MCTM"
+	entryFixed   = len(entryMagic) + 2 + 2 // magic, schema, slug length
+	entryTrailer = 4
+	// entryExt names entry files (schema-1 entries were .json).
+	entryExt = ".memo"
+)
+
+// castagnoli is the entry CRC's polynomial (hardware-accelerated on the
+// platforms this runs on).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// encodeEntry frames payload under slug at the current schema. The slug
+// must fit its u16 length field; store checks that.
+func encodeEntry(slug string, payload []byte) []byte {
+	b := make([]byte, 0, entryFixed+len(slug)+8+len(payload)+entryTrailer)
+	b = append(b, entryMagic...)
+	b = binary.LittleEndian.AppendUint16(b, cacheSchema)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(slug)))
+	b = append(b, slug...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+// decodeEntry unframes an entry file read for slug and returns its
+// payload, a subslice of data. On a miss, payload is nil and corrupt is
+// either empty — another schema, the documented migration path, a clean
+// miss — or names the damage (a torn or foreign file, a CRC mismatch,
+// a slug mismatch) for the caller to quarantine.
+func decodeEntry(data []byte, slug string) (payload []byte, corrupt string) {
+	if len(data) < entryFixed || string(data[:len(entryMagic)]) != entryMagic {
+		return nil, "not a memo entry: bad magic or torn header"
+	}
+	if binary.LittleEndian.Uint16(data[len(entryMagic):]) != cacheSchema {
+		return nil, ""
+	}
+	off := entryFixed + int(binary.LittleEndian.Uint16(data[len(entryMagic)+2:]))
+	if len(data) < off+8+entryTrailer {
+		return nil, fmt.Sprintf("torn entry: %d bytes end inside the header", len(data))
+	}
+	body := len(data) - entryTrailer
+	if n := binary.LittleEndian.Uint64(data[off:]); n != uint64(body-off-8) {
+		return nil, fmt.Sprintf("torn entry: header declares a %d-byte payload, file holds %d", n, body-off-8)
+	}
+	if crc32.Checksum(data[:body], castagnoli) != binary.LittleEndian.Uint32(data[body:]) {
+		return nil, "CRC mismatch"
+	}
+	if got := string(data[entryFixed:off]); got != slug {
+		return nil, fmt.Sprintf("slug mismatch: entry says %q, lookup wants %q", got, slug)
+	}
+	return data[off+8 : body], ""
 }
 
 // path maps a key to its file.
-func (c *Cache) path(key string) string { return filepath.Join(c.dir, key+".json") }
+func (c *Cache) path(key string) string { return filepath.Join(c.dir, key+entryExt) }
 
 // quarantine moves a corrupt entry into the quarantine subdirectory with
 // a sidecar .reason file instead of leaving it in place to be silently
@@ -190,7 +251,7 @@ func (c *Cache) path(key string) string { return filepath.Join(c.dir, key+".json
 func (c *Cache) quarantine(key, reason string) {
 	c.quarantined.Add(1)
 	qdir := filepath.Join(c.dir, QuarantineDirName)
-	dst := filepath.Join(qdir, key+".json")
+	dst := filepath.Join(qdir, key+entryExt)
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		c.log("runner: cache entry %s is corrupt (%s) but quarantine dir failed: %v", key, reason, err)
 		return
@@ -204,12 +265,12 @@ func (c *Cache) quarantine(key, reason string) {
 	c.log("runner: quarantined corrupt cache entry %s: %s", key, reason)
 }
 
-// load reads a raw cached result; ok is false on miss or any corruption.
-// Corruption (unreadable file, bad JSON, impossible slug mismatch) is
-// quarantined for diagnosis and then treated as a miss, never fatal. A
-// schema mismatch is a clean miss: it is the documented format-migration
-// path, not a torn write.
-func (c *Cache) load(slug, key string) (json.RawMessage, bool) {
+// load reads a cached payload; ok is false on miss or any corruption.
+// Corruption (unreadable file, torn or CRC-failing frame, impossible
+// slug mismatch) is quarantined for diagnosis and then treated as a
+// miss, never fatal. A schema mismatch is a clean miss: it is the
+// documented format-migration path, not a torn write.
+func (c *Cache) load(slug, key string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -220,71 +281,63 @@ func (c *Cache) load(slug, key string) (json.RawMessage, bool) {
 		}
 		return nil, false
 	}
-	var e entry
-	if uerr := json.Unmarshal(data, &e); uerr != nil {
-		c.quarantine(key, fmt.Sprintf("undecodable entry envelope: %v", uerr))
-		return nil, false
+	payload, corrupt := decodeEntry(data, slug)
+	if corrupt != "" {
+		c.quarantine(key, corrupt)
 	}
-	if e.Schema != cacheSchema {
-		return nil, false
-	}
-	if e.Slug != slug {
-		c.quarantine(key, fmt.Sprintf("slug mismatch: entry says %q, lookup wants %q", e.Slug, slug))
-		return nil, false
-	}
-	return e.Result, true
+	return payload, payload != nil
 }
 
-// store writes a result atomically. Store failures are returned so the
+// store writes a payload atomically. Store failures are returned so the
 // caller can warn, but callers treat them as non-fatal: the computation
 // already succeeded.
-func (c *Cache) store(slug, key string, result json.RawMessage) error {
+func (c *Cache) store(slug, key string, payload []byte) error {
 	if c == nil {
 		return nil
+	}
+	if len(slug) > math.MaxUint16 {
+		return fmt.Errorf("runner: cache slug of %d bytes exceeds the entry header", len(slug))
 	}
 	c.mkdir.Do(func() { c.mkdirOK = os.MkdirAll(c.dir, 0o755) == nil })
 	if !c.mkdirOK {
 		return fmt.Errorf("runner: cannot create cache dir %s", c.dir)
-	}
-	data, err := json.Marshal(entry{Schema: cacheSchema, Slug: slug, Result: result})
-	if err != nil {
-		return fmt.Errorf("runner: encoding cache entry %s: %w", slug, err)
 	}
 	// Same temp+rename discipline as before, now fsyncing file and
 	// directory when the process-wide sync policy demands power-loss
 	// durability (a torn cache entry is only quarantine noise, but a
 	// memoized result the checkpoint already references must not
 	// evaporate after the checkpoint said it exists).
-	if err := durable.WriteFileAtomic(c.path(key), data, 0o644, writeSyncPolicy()); err != nil {
+	if err := durable.WriteFileAtomic(c.path(key), encodeEntry(slug, payload), 0o644, writeSyncPolicy()); err != nil {
 		return fmt.Errorf("runner: committing cache entry %s: %w", slug, err)
 	}
 	return nil
 }
 
-// LoadRaw reads the raw cached result for a key already derived with
-// Key. A hit counts toward Stats; a miss counts nothing — the caller
-// decides whether a computation follows (the cluster layer peeks
-// without committing to compute, and a forwarded cell must not inflate
-// this node's miss count). Corruption handling matches load.
-func (c *Cache) LoadRaw(slug, key string) (json.RawMessage, bool) {
+// LoadRaw reads the cached payload for a key already derived with Key.
+// A hit counts toward Stats; a miss counts nothing — the caller decides
+// whether a computation follows (the cluster layer peeks without
+// committing to compute, and a forwarded cell must not inflate this
+// node's miss count). Corruption handling matches load.
+func (c *Cache) LoadRaw(slug, key string) ([]byte, bool) {
 	raw, ok := c.load(slug, key)
-	if ok && c != nil {
+	if ok {
 		c.hits.Add(1)
 	}
 	return raw, ok
 }
 
-// StoreRaw writes a raw result under a pre-derived key — the cross-node
+// StoreRaw writes a payload under a pre-derived key — the cross-node
 // cache-fill path: a cell computed by a remote owner is written through
 // to the local cache so later lookups replay as local hits. Counts
 // neither hit nor miss (the work happened elsewhere).
-func (c *Cache) StoreRaw(slug, key string, raw json.RawMessage) error {
+func (c *Cache) StoreRaw(slug, key string, raw []byte) error {
 	return c.store(slug, key, raw)
 }
 
 // Memo returns the cached result for (slug, payload) if present, else runs
 // compute, stores its result, and returns it. hit reports whether the
-// value came from disk.
+// value came from disk. The entry's payload is the result's JSON
+// encoding, so Memo and MemoBytes callers of one slug share entries.
 //
 // The returned value is ALWAYS the JSON round-trip of the computed one —
 // even on a cache miss — so a run that populates the cache and a run that
@@ -298,9 +351,7 @@ func Memo[T any](c *Cache, slug string, payload any, compute func() (T, error)) 
 	}
 	if raw, ok := c.load(slug, key); ok {
 		if json.Unmarshal(raw, &v) == nil {
-			if c != nil {
-				c.hits.Add(1)
-			}
+			c.hits.Add(1)
 			return v, true, nil
 		}
 		// Undecodable result (type changed without a code-version bump):
@@ -311,14 +362,7 @@ func Memo[T any](c *Cache, slug string, payload any, compute func() (T, error)) 
 	if err != nil {
 		return v, false, err
 	}
-	// The miss counts only once compute succeeds, making misses mean
-	// "cells this process actually computed": a canceled or failed
-	// attempt whose retry recomputes must not count the cell twice —
-	// the fleet-wide zero-duplicate accounting (sum of misses across
-	// nodes == cells computed) depends on this.
-	if c != nil {
-		c.misses.Add(1)
-	}
+	c.countMiss()
 	raw, err := json.Marshal(computed)
 	if err != nil {
 		return v, false, fmt.Errorf("runner: encoding result %s: %w", slug, err)
@@ -326,9 +370,40 @@ func Memo[T any](c *Cache, slug string, payload any, compute func() (T, error)) 
 	if err := json.Unmarshal(raw, &v); err != nil {
 		return v, false, fmt.Errorf("runner: round-tripping result %s: %w", slug, err)
 	}
-	if err := c.store(slug, key, raw); err != nil {
-		// Non-fatal: the result is correct, only the memoization is lost.
-		return v, false, nil
-	}
+	// Non-fatal: the result is correct, only the memoization is lost.
+	_ = c.store(slug, key, raw)
 	return v, false, nil
+}
+
+// MemoBytes is Memo for a result that is already bytes: compute's bytes
+// are stored verbatim and a hit returns the stored bytes verbatim, with
+// no encoding on either path, so cold and warm callers see identical
+// bytes by construction. Hit and miss accounting match Memo's.
+func MemoBytes(c *Cache, slug string, payload any, compute func() ([]byte, error)) ([]byte, bool, error) {
+	key, err := Key(slug, payload)
+	if err != nil {
+		return nil, false, err
+	}
+	if raw, ok := c.LoadRaw(slug, key); ok {
+		return raw, true, nil
+	}
+	raw, err := compute()
+	if err != nil {
+		return nil, false, err
+	}
+	c.countMiss()
+	// Non-fatal, as in Memo.
+	_ = c.store(slug, key, raw)
+	return raw, false, nil
+}
+
+// countMiss records one computed cell. A miss counts only once compute
+// succeeds, making misses mean "cells this process actually computed":
+// a canceled or failed attempt whose retry recomputes must not count
+// the cell twice — the fleet-wide zero-duplicate accounting (sum of
+// misses across nodes == cells computed) depends on this.
+func (c *Cache) countMiss() {
+	if c != nil {
+		c.misses.Add(1)
+	}
 }

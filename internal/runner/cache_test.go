@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -137,19 +138,19 @@ func TestMemoCorruptEntryRecomputes(t *testing.T) {
 
 func TestMemoSlugMismatchMisses(t *testing.T) {
 	// Paranoia check: even if two slugs somehow produced one key, the
-	// envelope's slug field guards the entry. Simulate by writing an entry
-	// under slug A's key with slug B inside.
+	// entry header's slug field guards the entry. Simulate by writing an
+	// entry under slug A's key with slug B inside.
 	dir := t.TempDir()
 	c := Open(dir)
 	key, err := Key("a", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _ := json.Marshal(entry{Schema: cacheSchema, Slug: "b", Result: json.RawMessage("3")})
+	data := encodeEntry("b", []byte("3"))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, key+entryExt), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.load("a", key); ok {
@@ -264,8 +265,16 @@ func TestQuarantineCorruptEnvelope(t *testing.T) {
 	if _, _, err := Memo(c, "q", p, func() (int, error) { return 3, nil }); err != nil {
 		t.Fatal(err)
 	}
+	// Tear the entry: keep only its first half, as a crash mid-write
+	// without the atomic rename would.
 	key, _ := Key("q", p)
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte("{torn"), 0o644); err != nil {
+	path := filepath.Join(dir, key+entryExt)
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := whole[:len(whole)/2]
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -281,19 +290,19 @@ func TestQuarantineCorruptEnvelope(t *testing.T) {
 
 	// The corrupt entry moved to quarantine with its reason sidecar; the
 	// recompute stored a fresh entry under the original path.
-	qpath := filepath.Join(dir, QuarantineDirName, key+".json")
+	qpath := filepath.Join(dir, QuarantineDirName, key+entryExt)
 	raw, err := os.ReadFile(qpath)
 	if err != nil {
 		t.Fatalf("quarantined entry missing: %v", err)
 	}
-	if string(raw) != "{torn" {
+	if string(raw) != string(torn) {
 		t.Errorf("quarantine must preserve the evidence, got %q", raw)
 	}
 	reason, err := os.ReadFile(qpath + ".reason")
 	if err != nil {
 		t.Fatalf("reason sidecar missing: %v", err)
 	}
-	if !strings.Contains(string(reason), "undecodable") {
+	if !strings.Contains(string(reason), "torn") {
 		t.Errorf("reason = %q", reason)
 	}
 	if c2.Quarantined() != 1 {
@@ -310,8 +319,8 @@ func TestQuarantineCorruptEnvelope(t *testing.T) {
 func TestQuarantineSlugMismatch(t *testing.T) {
 	dir := t.TempDir()
 	key, _ := Key("a", 1)
-	data, _ := json.Marshal(entry{Schema: cacheSchema, Slug: "b", Result: json.RawMessage("3")})
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), data, 0o644); err != nil {
+	data := encodeEntry("b", []byte("3"))
+	if err := os.WriteFile(filepath.Join(dir, key+entryExt), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c := Open(dir)
@@ -321,7 +330,7 @@ func TestQuarantineSlugMismatch(t *testing.T) {
 	if c.Quarantined() != 1 {
 		t.Errorf("Quarantined() = %d, want 1", c.Quarantined())
 	}
-	if _, err := os.Stat(filepath.Join(dir, QuarantineDirName, key+".json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, QuarantineDirName, key+entryExt)); err != nil {
 		t.Errorf("mismatched entry not quarantined: %v", err)
 	}
 }
@@ -331,8 +340,9 @@ func TestSchemaMismatchIsCleanMissNotQuarantine(t *testing.T) {
 	// miss silently, not be treated as corruption.
 	dir := t.TempDir()
 	key, _ := Key("a", 1)
-	data, _ := json.Marshal(entry{Schema: cacheSchema + 1, Slug: "a", Result: json.RawMessage("3")})
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), data, 0o644); err != nil {
+	data := encodeEntry("a", []byte("3"))
+	binary.LittleEndian.PutUint16(data[len(entryMagic):], cacheSchema+1)
+	if err := os.WriteFile(filepath.Join(dir, key+entryExt), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c := Open(dir)
@@ -342,13 +352,13 @@ func TestSchemaMismatchIsCleanMissNotQuarantine(t *testing.T) {
 	if c.Quarantined() != 0 {
 		t.Errorf("schema mismatch quarantined %d entries; must be a clean miss", c.Quarantined())
 	}
-	if _, err := os.Stat(filepath.Join(dir, key+".json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, key+entryExt)); err != nil {
 		t.Errorf("schema-mismatched entry must stay in place: %v", err)
 	}
 }
 
 func TestQuarantineUndecodableResultType(t *testing.T) {
-	// The envelope is fine but the result no longer decodes into the
+	// The entry frame is fine but the result no longer decodes into the
 	// caller's type (a type change without a code-version bump): Memo must
 	// quarantine and recompute rather than fail.
 	dir := t.TempDir()
@@ -391,7 +401,7 @@ func TestRawAccessorsCounterSemantics(t *testing.T) {
 	if h, m := c.Stats(); h != 0 || m != 0 {
 		t.Fatalf("after missed LoadRaw: hits=%d misses=%d, want 0/0 (a peek is not a miss)", h, m)
 	}
-	if err := c.StoreRaw("raw-slug", key, json.RawMessage(`{"v":7}`)); err != nil {
+	if err := c.StoreRaw("raw-slug", key, []byte(`{"v":7}`)); err != nil {
 		t.Fatal(err)
 	}
 	if h, m := c.Stats(); h != 0 || m != 0 {
@@ -418,7 +428,7 @@ func TestRawAccessorsCounterSemantics(t *testing.T) {
 	if _, ok := nc.LoadRaw("s", key); ok {
 		t.Error("nil cache LoadRaw hit")
 	}
-	if err := nc.StoreRaw("s", key, json.RawMessage(`{}`)); err != nil {
+	if err := nc.StoreRaw("s", key, []byte(`{}`)); err != nil {
 		t.Errorf("nil cache StoreRaw: %v", err)
 	}
 }

@@ -2,9 +2,7 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -12,21 +10,9 @@ import (
 	"repro/internal/runner"
 )
 
-// classifyArtifact is the memoized product of a spec-path classification:
-// the complete, pre-rendered NDJSON response body plus its work counts.
-// Caching the rendered bytes (rather than re-rendering on hit) makes the
-// cold-vs-warm byte-identity property trivially true: runner.Memo
-// round-trips the artifact through JSON either way, so the handler writes
-// literally the same bytes whether the result was computed or replayed.
-type classifyArtifact struct {
-	Body    []byte        `json:"body"`
-	Stats   classifyStats `json:"stats"`
-	Summary bool          `json:"summary"`
-}
-
 // batchResult is what a batch delivers back to one waiting request.
 type batchResult struct {
-	art classifyArtifact
+	art artifact
 	hit bool // memoization-cache hit
 	err error
 }
@@ -177,25 +163,22 @@ func (s *Service) runBatch(items []*batchItem) {
 // classifyMemo computes (or replays) one spec-path classification
 // through the cell path: local memo cache, then — clustered — the hash
 // ring (a remote-owned spec forwards to its owner; see cluster.go). The
-// rendered NDJSON body is the cached value; see classifyArtifact for
-// why, and classifyRaw (cluster.go) for the compute itself.
-func (s *Service) classifyMemo(ctx context.Context, spec ClassifySpec) (classifyArtifact, bool, error) {
+// encoded artifact is the cached value; see artifact for why, and
+// classifyRaw (cluster.go) for the compute itself.
+func (s *Service) classifyMemo(ctx context.Context, spec ClassifySpec) (artifact, bool, error) {
 	_, sp := obs.Start(ctx, "cache.lookup")
 	sp.Str("workload", spec.Workload)
-	raw, hit, err := s.memoCell(ctx, classifySlug, spec, func() (json.RawMessage, error) {
+	raw, hit, err := s.memoCell(ctx, classifySlug, spec, func() ([]byte, error) {
 		return s.classifyRaw(ctx, spec)
 	})
 	sp.Bool("hit", hit)
 	sp.Err(err)
 	sp.End()
 	if err != nil {
-		return classifyArtifact{}, hit, err
+		return artifact{}, hit, err
 	}
-	var art classifyArtifact
-	if uerr := json.Unmarshal(raw, &art); uerr != nil {
-		return classifyArtifact{}, hit, fmt.Errorf("service: decoding classify artifact: %w", uerr)
-	}
-	return art, hit, nil
+	art, err := decodeArtifact(raw)
+	return art, hit, err
 }
 
 // classifySlug keys spec-path classifications in the memo cache.

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/classify"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -130,16 +132,37 @@ func (sp ClassifySpec) cacheConfig() cache.Config {
 	}
 }
 
-// accessLine is one NDJSON record of a classify response: the access, the
-// oracle's classic verdict, and the MCT's on-the-fly verdict (misses
-// only; a hit has no miss class).
-type accessLine struct {
-	I      uint64 `json:"i"`
-	Addr   string `json:"addr"`
-	Store  bool   `json:"store,omitempty"`
-	Hit    bool   `json:"hit"`
-	Oracle string `json:"oracle"`
-	MCT    string `json:"mct,omitempty"`
+// appendAccessLine appends one NDJSON record of a classify response to
+// b: the access, the oracle's classic verdict, and the MCT's on-the-fly
+// verdict (misses only; a hit has no miss class). The bytes are exactly
+// json.Marshal's for
+//
+//	{"i":…,"addr":"0x…","store":true,"hit":…,"oracle":"…","mct":"…"}
+//
+// with store and mct omitted when false or absent, plus a newline
+// (FuzzAccessLine holds it to that). It is hand-rolled because it runs
+// once per emitted access, where reflective encoding cost more than the
+// classification itself.
+func appendAccessLine(b []byte, i, addr uint64, store, hit bool, oracle classify.Kind, mct core.Class) []byte {
+	b = append(b, `{"i":`...)
+	b = strconv.AppendUint(b, i, 10)
+	b = append(b, `,"addr":"0x`...)
+	b = strconv.AppendUint(b, addr, 16)
+	b = append(b, '"')
+	if store {
+		b = append(b, `,"store":true`...)
+	}
+	if hit {
+		b = append(b, `,"hit":true,"oracle":"`...)
+	} else {
+		b = append(b, `,"hit":false,"oracle":"`...)
+	}
+	b = append(b, oracle.String()...)
+	if !hit {
+		b = append(b, `","mct":"`...)
+		b = append(b, mct.String()...)
+	}
+	return append(b, "\"}\n"...)
 }
 
 // ClassifySummary is the trailing NDJSON record: totals plus the MCT's
@@ -156,33 +179,29 @@ type ClassifySummary struct {
 	OverallAcc  float64 `json:"mct_overall_accuracy"`
 }
 
-// classifyStats counts a classification's work for job accounting.
-type classifyStats struct {
-	Records uint64 `json:"records"`
-	Emitted uint64 `json:"emitted"`
-}
-
 // runClassify plays every memory access of src through the classifying
-// cache and the oracle, one struct-of-arrays batch at a time, emitting
-// NDJSON records per the spec's emit mode through emit (one call per
-// line, already marshaled). Batches bound the resident state: an upload
-// is decoded ~256 records at a time straight off the request body, never
-// buffered whole, and the steady state allocates nothing per record. The
-// context is checked once per batch so an abandoned request stops doing
-// work promptly. src.Err() is consulted after the source ends (a
+// cache and the oracle, one struct-of-arrays batch at a time, rendering
+// each batch's NDJSON access lines (per the spec's emit mode) into one
+// reused buffer that is handed to sink once per batch; sink must not
+// keep it. Batches bound the resident state: an upload is decoded ~256
+// records at a time straight off the request body, never buffered
+// whole, and the steady state allocates nothing per record. The context
+// is checked once per batch so an abandoned request stops doing work
+// promptly. src.Err() is consulted after the source ends (a
 // trace.Reader's decode error, truncation, or limit violation): a failed
 // source aborts the run before the summary, so a truncated or over-limit
 // upload never masquerades as a complete classification. The summary
 // line is returned, not emitted: the caller writes it last, after
 // whatever must precede the final byte (an HTTP handler finishes its
 // job first).
-func runClassify(ctx context.Context, spec ClassifySpec, src trace.BatchSource, emit func(v any) error) (classifyStats, classifySummaryLine, error) {
-	var st classifyStats
+func runClassify(ctx context.Context, spec ClassifySpec, src trace.BatchSource, sink func([]byte) error) (runStats, classifySummaryLine, error) {
+	var st runStats
 	run, err := classify.NewRun(spec.cacheConfig(), spec.TagBits)
 	if err != nil {
 		return st, classifySummaryLine{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	bc := sim.NewBatchClassifier(run, 0)
+	var buf []byte
 	for {
 		if cerr := ctx.Err(); cerr != nil {
 			return st, classifySummaryLine{}, cerr
@@ -192,25 +211,21 @@ func runClassify(ctx context.Context, spec ClassifySpec, src trace.BatchSource, 
 			break
 		}
 		if spec.Emit != EmitSummary {
+			buf = buf[:0]
+			lines := uint64(0)
 			for i := 0; i < m; i++ {
 				hit := run.Hits[i]
 				if spec.Emit == EmitMisses && hit {
 					continue
 				}
-				line := accessLine{
-					I:      st.Records + uint64(i),
-					Addr:   fmt.Sprintf("0x%x", uint64(bc.Addrs[i])),
-					Store:  bc.Stores[i],
-					Hit:    hit,
-					Oracle: run.Kinds[i].String(),
-				}
-				if !hit {
-					line.MCT = run.Classes[i].String()
-				}
-				if err := emit(line); err != nil {
+				buf = appendAccessLine(buf, st.Records+uint64(i), uint64(bc.Addrs[i]), bc.Stores[i], hit, run.Kinds[i], run.Classes[i])
+				lines++
+			}
+			if lines > 0 {
+				if err := sink(buf); err != nil {
 					return st, classifySummaryLine{}, err
 				}
-				st.Emitted++
+				st.Emitted += lines
 			}
 		}
 		st.Records += uint64(m)

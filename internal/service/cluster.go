@@ -79,11 +79,11 @@ func (s *Service) computeWorkers() int {
 // compute; with it, at most computeWorkers cells compute here at once
 // while any number of forwards stay in flight. Unclustered, gate is
 // the identity — the single-node path is untouched.
-func (s *Service) gate(ctx context.Context, compute func() (json.RawMessage, error)) func() (json.RawMessage, error) {
+func (s *Service) gate(ctx context.Context, compute func() ([]byte, error)) func() ([]byte, error) {
 	if s.compSem == nil {
 		return compute
 	}
-	return func() (json.RawMessage, error) {
+	return func() ([]byte, error) {
 		select {
 		case s.compSem <- struct{}{}:
 		case <-ctx.Done():
@@ -96,11 +96,11 @@ func (s *Service) gate(ctx context.Context, compute func() (json.RawMessage, err
 
 // cellFlight is one in-flight resolution of a cell on this node;
 // concurrent callers for the same key share it instead of duplicating
-// the work (runner.Memo alone has no in-flight dedupe — two concurrent
-// misses both compute).
+// the work (runner.MemoBytes alone has no in-flight dedupe — two
+// concurrent misses both compute).
 type cellFlight struct {
 	done chan struct{}
-	raw  json.RawMessage
+	raw  []byte
 	hit  bool
 	err  error
 }
@@ -115,7 +115,7 @@ type cellFlight struct {
 // the same cell is demanded concurrently on several nodes: each node
 // resolves it at most once, and all but the owner resolve it by
 // forwarding or from cache.
-func (s *Service) singleflightCell(ctx context.Context, key string, fn func() (json.RawMessage, bool, error)) (json.RawMessage, bool, error) {
+func (s *Service) singleflightCell(ctx context.Context, key string, fn func() ([]byte, bool, error)) ([]byte, bool, error) {
 	for {
 		s.flightMu.Lock()
 		if f, ok := s.flights[key]; ok {
@@ -149,16 +149,16 @@ func (s *Service) singleflightCell(ctx context.Context, key string, fn func() (j
 // sweep cell) goes through: local cache, then the ring. A remote-owned
 // cell is forwarded to its owner; on any remote failure the cell falls
 // back to local compute — health degradation never fails a job, it
-// only moves work. Unclustered, this is exactly runner.Memo.
-func (s *Service) memoCell(ctx context.Context, slug string, payload any, compute func() (json.RawMessage, error)) (json.RawMessage, bool, error) {
+// only moves work. Unclustered, this is exactly runner.MemoBytes.
+func (s *Service) memoCell(ctx context.Context, slug string, payload any, compute func() ([]byte, error)) ([]byte, bool, error) {
 	if !s.cluster.Enabled() {
-		return runner.Memo(s.cache, slug, payload, compute)
+		return runner.MemoBytes(s.cache, slug, payload, compute)
 	}
 	key, err := runner.Key(slug, payload)
 	if err != nil {
 		return nil, false, err
 	}
-	return s.singleflightCell(ctx, slug+"\x00"+key, func() (json.RawMessage, bool, error) {
+	return s.singleflightCell(ctx, slug+"\x00"+key, func() ([]byte, bool, error) {
 		if raw, ok := s.cache.LoadRaw(slug, key); ok {
 			return raw, true, nil
 		}
@@ -168,13 +168,13 @@ func (s *Service) memoCell(ctx context.Context, slug string, payload any, comput
 			}
 			// Remote owner unreachable after retries: compute locally below.
 		}
-		return runner.Memo(s.cache, slug, payload, s.gate(ctx, compute))
+		return runner.MemoBytes(s.cache, slug, payload, s.gate(ctx, compute))
 	})
 }
 
 // cellResult is one resolution of a remote cell, by whichever path won.
 type cellResult struct {
-	raw    json.RawMessage
+	raw    []byte
 	hit    bool
 	err    error
 	stolen bool // resolved by local compute, already in the local cache
@@ -187,7 +187,7 @@ type cellResult struct {
 // results are written through to the local cache (cross-node fill), so
 // the next lookup — this job's retry, another job, paperbench on the
 // same cache dir — replays as a local hit.
-func (s *Service) remoteCell(ctx context.Context, owner, slug string, payload any, key string, compute func() (json.RawMessage, error)) (json.RawMessage, bool, error) {
+func (s *Service) remoteCell(ctx context.Context, owner, slug string, payload any, key string, compute func() ([]byte, error)) ([]byte, bool, error) {
 	enc, err := json.Marshal(payload)
 	if err != nil {
 		return nil, false, fmt.Errorf("service: encoding cell payload: %w", err)
@@ -209,7 +209,7 @@ func (s *Service) remoteCell(ctx context.Context, owner, slug string, payload an
 		primary <- cellResult{raw: raw, hit: hit, err: ferr}
 	}()
 
-	finish := func(r cellResult) (json.RawMessage, bool, error) {
+	finish := func(r cellResult) ([]byte, bool, error) {
 		if r.err != nil {
 			sp.Err(r.err)
 			return nil, false, r.err
@@ -240,8 +240,8 @@ func (s *Service) remoteCell(ctx context.Context, owner, slug string, payload an
 
 	// Straggler: steal the cell. Pull first (cheap, and the owner may
 	// have finished the work even if the forward's response is stuck),
-	// then local compute through runner.Memo (which stores the result,
-	// so a late-arriving primary changes nothing).
+	// then local compute through runner.MemoBytes (which stores the
+	// result, so a late-arriving primary changes nothing).
 	s.cluster.NoteSteal()
 	sp.Bool("steal", true)
 	second := make(chan cellResult, 1)
@@ -257,7 +257,7 @@ func (s *Service) remoteCell(ctx context.Context, owner, slug string, payload an
 			second <- cellResult{raw: raw, hit: true}
 			return
 		}
-		raw2, hit, cerr := runner.Memo(s.cache, slug, payload, s.gate(fctx, compute))
+		raw2, hit, cerr := runner.MemoBytes(s.cache, slug, payload, s.gate(fctx, compute))
 		second <- cellResult{raw: raw2, hit: hit, err: cerr, stolen: true}
 	}()
 	select {
@@ -295,7 +295,7 @@ func (s *Service) remoteCell(ctx context.Context, owner, slug string, payload an
 
 // cellOut is the owner-side result of one forwarded cell.
 type cellOut struct {
-	raw json.RawMessage
+	raw []byte
 	hit bool
 }
 
@@ -304,11 +304,11 @@ type cellOut struct {
 // gate a locally-originated cell gets — fault injection, slow-task
 // logging, and retry policy treat a cell identically wherever it runs.
 // Never consults the ring (see the loop-freedom invariant above).
-func (s *Service) execCellLocal(ctx context.Context, creq cluster.CellRequest) (json.RawMessage, bool, error) {
+func (s *Service) execCellLocal(ctx context.Context, creq cluster.CellRequest) ([]byte, bool, error) {
 	var (
 		label   string
 		payload any
-		compute func(tctx context.Context) (json.RawMessage, error)
+		compute func(tctx context.Context) ([]byte, error)
 	)
 	switch creq.Slug {
 	case classifySlug:
@@ -321,7 +321,7 @@ func (s *Service) execCellLocal(ctx context.Context, creq cluster.CellRequest) (
 		}
 		label = "classify/" + spec.Workload
 		payload = spec
-		compute = func(tctx context.Context) (json.RawMessage, error) { return s.classifyRaw(tctx, spec) }
+		compute = func(tctx context.Context) ([]byte, error) { return s.classifyRaw(tctx, spec) }
 	case mrcSlug:
 		var spec MRCSpec
 		if err := strictUnmarshal(creq.Payload, &spec); err != nil {
@@ -332,7 +332,7 @@ func (s *Service) execCellLocal(ctx context.Context, creq cluster.CellRequest) (
 		}
 		label = "mrc/" + spec.Workload
 		payload = spec
-		compute = func(tctx context.Context) (json.RawMessage, error) { return s.mrcRaw(tctx, spec) }
+		compute = func(tctx context.Context) ([]byte, error) { return s.mrcRaw(tctx, spec) }
 	default:
 		arts, err := experiments.Select([]string{creq.Slug})
 		if err != nil || len(arts) != 1 || arts[0].Slug != creq.Slug {
@@ -345,7 +345,7 @@ func (s *Service) execCellLocal(ctx context.Context, creq cluster.CellRequest) (
 		slug := creq.Slug
 		label = "sweep/" + slug
 		payload = p
-		compute = func(tctx context.Context) (json.RawMessage, error) { return s.experimentRaw(tctx, slug, p) }
+		compute = func(tctx context.Context) ([]byte, error) { return s.experimentRaw(tctx, slug, p) }
 	}
 
 	jobCtx := runner.WithOptions(ctx, s.supervision()...)
@@ -358,8 +358,8 @@ func (s *Service) execCellLocal(ctx context.Context, creq cluster.CellRequest) (
 		if kerr != nil {
 			return cellOut{}, kerr
 		}
-		raw, hit, err := s.singleflightCell(tctx, slug+"\x00"+key, func() (json.RawMessage, bool, error) {
-			return runner.Memo(s.cache, slug, payload, s.gate(tctx, func() (json.RawMessage, error) {
+		raw, hit, err := s.singleflightCell(tctx, slug+"\x00"+key, func() ([]byte, bool, error) {
+			return runner.MemoBytes(s.cache, slug, payload, s.gate(tctx, func() ([]byte, error) {
 				if cerr := tctx.Err(); cerr != nil {
 					return nil, cerr
 				}
@@ -383,36 +383,29 @@ func strictUnmarshal(data []byte, v any) error {
 	return dec.Decode(v)
 }
 
-// classifyRaw computes one spec-path classification and returns the
-// marshaled classifyArtifact — the exact bytes runner.Memo would have
-// stored, so the local path, the forwarded path, and the cache agree
-// byte for byte.
-func (s *Service) classifyRaw(ctx context.Context, spec ClassifySpec) (json.RawMessage, error) {
-	var buf bytes.Buffer
-	emit := func(v any) error {
-		enc, merr := json.Marshal(v)
-		if merr != nil {
-			return fmt.Errorf("service: encoding result line: %w", merr)
-		}
-		buf.Write(enc)
-		buf.WriteByte('\n')
+// classifyRaw computes one spec-path classification and returns its
+// encoded artifact — the exact bytes the memo cache stores, so the local
+// path, the forwarded path, and the cache agree byte for byte.
+func (s *Service) classifyRaw(ctx context.Context, spec ClassifySpec) ([]byte, error) {
+	var body []byte
+	st, sum, err := runClassify(ctx, spec, trace.NewStreamBatcher(specStream(spec)), func(b []byte) error {
+		body = append(body, b...)
 		return nil
-	}
-	st, sum, err := runClassify(ctx, spec, trace.NewStreamBatcher(specStream(spec)), emit)
+	})
 	if err == nil {
-		err = emit(sum)
+		body, err = appendJSONLine(body, sum)
 	}
 	if err != nil {
 		return nil, err
 	}
 	st.Emitted++
 	s.records.Add(st.Records)
-	return json.Marshal(classifyArtifact{Body: buf.Bytes(), Stats: st, Summary: true})
+	return encodeArtifact(st, body)
 }
 
 // experimentRaw computes one experiment cell and returns its marshaled
 // result.
-func (s *Service) experimentRaw(ctx context.Context, slug string, p experiments.Params) (json.RawMessage, error) {
+func (s *Service) experimentRaw(ctx context.Context, slug string, p experiments.Params) ([]byte, error) {
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
 	}
@@ -479,7 +472,9 @@ func (s *Service) handleClusterCell(w http.ResponseWriter, r *http.Request) {
 		disposition = "hit"
 	}
 	w.Header().Set(cluster.CacheHeader, disposition)
-	w.Header().Set("Content-Type", "application/json")
+	// Cell bytes are the memo payload verbatim: JSON for a sweep cell,
+	// an encoded artifact for classify and MRC.
+	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(raw)
 }
 
@@ -505,7 +500,7 @@ func (s *Service) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	if self := s.cluster.Self(); self != "" {
 		w.Header().Set(cluster.NodeHeader, self)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(raw)
 }
 

@@ -346,7 +346,7 @@ func TestFleetCacheFillRaceConverges(t *testing.T) {
 			wg.Add(1)
 			go func(idx int, s *Service) {
 				defer wg.Done()
-				raw, _, err := s.memoCell(context.Background(), "fig2", p, func() (json.RawMessage, error) {
+				raw, _, err := s.memoCell(context.Background(), "fig2", p, func() ([]byte, error) {
 					return s.experimentRaw(context.Background(), "fig2", p)
 				})
 				results[idx], errs[idx] = raw, err
@@ -434,7 +434,7 @@ func TestFleetStealRescuesStraggler(t *testing.T) {
 	}
 
 	start := time.Now()
-	raw, _, err := nodes[0].svc.memoCell(context.Background(), "fig2", p, func() (json.RawMessage, error) {
+	raw, _, err := nodes[0].svc.memoCell(context.Background(), "fig2", p, func() ([]byte, error) {
 		return nodes[0].svc.experimentRaw(context.Background(), "fig2", p)
 	})
 	elapsed := time.Since(start)

@@ -133,13 +133,15 @@ func clientID(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// ndjsonWriter emits one JSON value per line and flushes each, so
-// clients see results as they exist rather than when the response
-// buffer fills.
+// ndjsonWriter streams an NDJSON response, flushing after every write
+// so clients see results as they exist rather than when the response
+// buffer fills. Writes are whole lines: a batch of access lines from
+// runClassify (one flush per batch, not per line), or one JSON value
+// through emit.
 type ndjsonWriter struct {
-	w       http.ResponseWriter
-	f       http.Flusher
-	emitted uint64
+	w    http.ResponseWriter
+	f    http.Flusher
+	line []byte
 }
 
 func newNDJSONWriter(w http.ResponseWriter) *ndjsonWriter {
@@ -148,19 +150,24 @@ func newNDJSONWriter(w http.ResponseWriter) *ndjsonWriter {
 	return &ndjsonWriter{w: w, f: f}
 }
 
-func (nw *ndjsonWriter) emit(v any) error {
-	enc, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("service: encoding result line: %w", err)
-	}
-	if _, err := nw.w.Write(append(enc, '\n')); err != nil {
+// write sends p, one or more complete lines, and flushes.
+func (nw *ndjsonWriter) write(p []byte) error {
+	if _, err := nw.w.Write(p); err != nil {
 		return err
 	}
-	nw.emitted++
 	if nw.f != nil {
 		nw.f.Flush()
 	}
 	return nil
+}
+
+// emit sends v as one JSON line.
+func (nw *ndjsonWriter) emit(v any) error {
+	var err error
+	if nw.line, err = appendJSONLine(nw.line[:0], v); err != nil {
+		return err
+	}
+	return nw.write(nw.line)
 }
 
 // createJob registers a job in the registry and the journal.
@@ -350,19 +357,19 @@ func (s *Service) classifyUploadRequest(w http.ResponseWriter, r *http.Request, 
 
 	nw := newNDJSONWriter(w)
 	_, sp := obs.Start(r.Context(), "classify.upload")
-	st, sum, err := runClassify(r.Context(), spec, rd, nw.emit)
+	st, sum, err := runClassify(r.Context(), spec, rd, nw.write)
 	sp.Int("records", int64(st.Records))
 	sp.Err(err)
 	sp.End()
 	if err != nil {
 		// The status line is long gone; the error becomes the last record
 		// and the job's failure state.
-		s.finishJob(id, err, st.Records, nw.emitted+1, 0, 0)
+		s.finishJob(id, err, st.Records, st.Emitted+1, 0, 0)
 		_ = nw.emit(errorBody{Error: err.Error(), Status: statusFor(err)})
 		return
 	}
 	s.records.Add(st.Records)
-	s.finishJob(id, nil, st.Records, nw.emitted+1, 0, 0)
+	s.finishJob(id, nil, st.Records, st.Emitted+1, 0, 0)
 	_ = nw.emit(sum)
 }
 
@@ -450,16 +457,16 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	nw := newNDJSONWriter(w)
 	ok := 0
-	for _, line := range lines {
+	for i, line := range lines {
 		if line.Error == "" {
 			ok++
 		}
 		if err := nw.emit(line); err != nil {
-			s.finishJob(id, err, uint64(len(lines)), nw.emitted, hits, misses)
+			s.finishJob(id, err, uint64(len(lines)), uint64(i), hits, misses)
 			return
 		}
 	}
-	s.finishJob(id, runErr, uint64(len(lines)), nw.emitted+1, hits, misses)
+	s.finishJob(id, runErr, uint64(len(lines)), uint64(len(lines))+1, hits, misses)
 	_ = nw.emit(struct {
 		Summary sweepSummary `json:"summary"`
 	}{sweepSummary{Experiments: len(lines), OK: ok, Failed: len(lines) - ok}})

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -203,22 +202,6 @@ type MRCSummary struct {
 	Points      int     `json:"points"`
 }
 
-// mrcStats counts one profile's work for job accounting and tenant
-// charging.
-type mrcStats struct {
-	Records uint64 `json:"records"`
-	Emitted uint64 `json:"emitted"`
-	Samples uint64 `json:"samples"`
-}
-
-// mrcArtifact is the memoized product of a spec-path MRC profile: the
-// pre-rendered NDJSON body plus work counts, the same
-// cached-bytes-for-byte-identity pattern as classifyArtifact.
-type mrcArtifact struct {
-	Body  []byte   `json:"body"`
-	Stats mrcStats `json:"stats"`
-}
-
 // runMRC plays every memory access of src through one SHARDS profiler
 // and one classifier run per requested size, a struct-of-arrays batch
 // at a time: the batch's memory ops are compacted once, then fanned to
@@ -227,9 +210,10 @@ type mrcArtifact struct {
 // sampled-reference count — the tenant quota hook; its error aborts
 // the stream mid-flight. After the source drains cleanly, the points
 // stream in ascending size order; the summary line is returned for the
-// caller to write last (as runClassify's is).
-func runMRC(ctx context.Context, spec MRCSpec, src trace.BatchSource, emit func(v any) error, charge func(samples uint64) error) (mrcStats, mrcSummaryLine, error) {
-	var st mrcStats
+// caller to write last (as runClassify's is). The point lines go to
+// sink together, once, and sink must not keep the buffer.
+func runMRC(ctx context.Context, spec MRCSpec, src trace.BatchSource, sink func([]byte) error, charge func(samples uint64) error) (runStats, mrcSummaryLine, error) {
+	var st runStats
 	prof := mrc.New(mrc.Config{Rate: spec.Rate, MaxSampled: spec.MaxSampled, LineSize: spec.LineSize})
 	runs := make([]*classify.Run, len(spec.SizesKB))
 	for i, kb := range spec.SizesKB {
@@ -276,6 +260,7 @@ func runMRC(ctx context.Context, spec MRCSpec, src trace.BatchSource, emit func(
 	}
 	ps := prof.Stats()
 	st.Samples = ps.Sampled
+	var buf []byte
 	for i, kb := range spec.SizesKB {
 		run := runs[i]
 		lines := uint64(kb) * 1024 / uint64(spec.LineSize)
@@ -298,13 +283,17 @@ func runMRC(ctx context.Context, spec MRCSpec, src trace.BatchSource, emit func(
 				MissRatio:  mr,
 			},
 		}
-		if err := emit(struct {
+		var err error
+		if buf, err = appendJSONLine(buf, struct {
 			Point mrcPoint `json:"point"`
 		}{pt}); err != nil {
 			return st, mrcSummaryLine{}, err
 		}
-		st.Emitted++
 	}
+	if err := sink(buf); err != nil {
+		return st, mrcSummaryLine{}, err
+	}
+	st.Emitted += uint64(len(spec.SizesKB))
 	sum := MRCSummary{
 		Workload:    spec.Workload,
 		Accesses:    st.Records,
@@ -323,23 +312,17 @@ type mrcSummaryLine struct {
 	Summary MRCSummary `json:"summary"`
 }
 
-// mrcRaw computes one spec-path MRC profile and returns the marshaled
-// mrcArtifact — the exact bytes runner.Memo stores, so local compute,
+// mrcRaw computes one spec-path MRC profile and returns its encoded
+// artifact — the exact bytes the memo cache stores, so local compute,
 // forwarded cells, and cache replay agree byte for byte.
-func (s *Service) mrcRaw(ctx context.Context, spec MRCSpec) (json.RawMessage, error) {
-	var buf bytes.Buffer
-	emit := func(v any) error {
-		enc, merr := json.Marshal(v)
-		if merr != nil {
-			return fmt.Errorf("service: encoding result line: %w", merr)
-		}
-		buf.Write(enc)
-		buf.WriteByte('\n')
+func (s *Service) mrcRaw(ctx context.Context, spec MRCSpec) ([]byte, error) {
+	var body []byte
+	st, sum, err := runMRC(ctx, spec, trace.NewStreamBatcher(spec.stream()), func(b []byte) error {
+		body = append(body, b...)
 		return nil
-	}
-	st, sum, err := runMRC(ctx, spec, trace.NewStreamBatcher(spec.stream()), emit, nil)
+	}, nil)
 	if err == nil {
-		err = emit(sum)
+		body, err = appendJSONLine(body, sum)
 	}
 	if err != nil {
 		return nil, err
@@ -347,12 +330,12 @@ func (s *Service) mrcRaw(ctx context.Context, spec MRCSpec) (json.RawMessage, er
 	st.Emitted++
 	s.records.Add(st.Records)
 	s.mrcSamples.Add(st.Samples)
-	return json.Marshal(mrcArtifact{Body: buf.Bytes(), Stats: st})
+	return encodeArtifact(st, body)
 }
 
 // mrcOut is mrcMemo's task result.
 type mrcOut struct {
-	raw json.RawMessage
+	raw []byte
 	hit bool
 }
 
@@ -360,12 +343,12 @@ type mrcOut struct {
 // cell path — local memo cache, then (clustered) the hash ring — under
 // the service's supervision policy, so an MRC profile gets the same
 // retries, deadline, and fault-injection treatment as a classify batch.
-func (s *Service) mrcMemo(ctx context.Context, spec MRCSpec) (mrcArtifact, bool, error) {
+func (s *Service) mrcMemo(ctx context.Context, spec MRCSpec) (artifact, bool, error) {
 	jobCtx := runner.WithOptions(ctx, s.supervision()...)
 	tasks := []runner.Task[mrcOut]{runner.NewTask("mrc/"+spec.Workload, func(tctx context.Context) (mrcOut, error) {
 		_, sp := obs.Start(tctx, "cache.lookup")
 		sp.Str("workload", spec.Workload)
-		raw, hit, err := s.memoCell(tctx, mrcSlug, spec, func() (json.RawMessage, error) {
+		raw, hit, err := s.memoCell(tctx, mrcSlug, spec, func() ([]byte, error) {
 			return s.mrcRaw(tctx, spec)
 		})
 		sp.Bool("hit", hit)
@@ -375,13 +358,10 @@ func (s *Service) mrcMemo(ctx context.Context, spec MRCSpec) (mrcArtifact, bool,
 	})}
 	out, err := runner.Map(jobCtx, tasks)
 	if err != nil {
-		return mrcArtifact{}, false, err
+		return artifact{}, false, err
 	}
-	var art mrcArtifact
-	if uerr := json.Unmarshal(out[0].raw, &art); uerr != nil {
-		return mrcArtifact{}, out[0].hit, fmt.Errorf("service: decoding mrc artifact: %w", uerr)
-	}
-	return art, out[0].hit, nil
+	art, err := decodeArtifact(out[0].raw)
+	return art, out[0].hit, err
 }
 
 // handleMRC serves POST /v1/mrc. A JSON body is a workload spec,
@@ -534,7 +514,7 @@ func (s *Service) mrcUploadRequest(w http.ResponseWriter, r *http.Request, id, t
 
 	nw := newNDJSONWriter(w)
 	_, sp := obs.Start(r.Context(), "mrc.upload")
-	st, sum, err := runMRC(r.Context(), spec, rd, nw.emit, func(samples uint64) error {
+	st, sum, err := runMRC(r.Context(), spec, rd, nw.write, func(samples uint64) error {
 		nb := cr.take()
 		s.mrcSamples.Add(samples)
 		s.mrcIngest.Add(nb)
@@ -548,12 +528,12 @@ func (s *Service) mrcUploadRequest(w http.ResponseWriter, r *http.Request, id, t
 	sp.Err(err)
 	sp.End()
 	if err != nil {
-		s.finishJob(id, err, st.Records, nw.emitted+1, 0, 0)
+		s.finishJob(id, err, st.Records, st.Emitted+1, 0, 0)
 		_ = nw.emit(errorBody{Error: err.Error(), Status: statusFor(err)})
 		return
 	}
 	s.records.Add(st.Records)
-	s.finishJob(id, nil, st.Records, nw.emitted+1, 0, 0)
+	s.finishJob(id, nil, st.Records, st.Emitted+1, 0, 0)
 	_ = nw.emit(sum)
 }
 

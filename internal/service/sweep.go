@@ -93,7 +93,7 @@ type sweepSummary struct {
 
 // sweepCell is one cell's outcome inside a sweep.
 type sweepCell struct {
-	raw json.RawMessage
+	raw []byte
 	hit bool
 }
 
@@ -195,7 +195,7 @@ func (s *Service) runSweep(ctx context.Context, p experiments.Params, arts []exp
 		tasks[i] = runner.NewTask("sweep/"+cell.id, func(tctx context.Context) (sweepCell, error) {
 			_, sp := obs.Start(tctx, "cache.lookup")
 			sp.Str("experiment", cell.id)
-			raw, hit, err := s.memoCell(tctx, cell.art.Slug, cell.p, func() (json.RawMessage, error) {
+			raw, hit, err := s.memoCell(tctx, cell.art.Slug, cell.p, func() ([]byte, error) {
 				if cerr := tctx.Err(); cerr != nil {
 					return nil, cerr
 				}

@@ -148,7 +148,7 @@ func TestClassifyUploadBoundedWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, _, err := runClassify(context.Background(), spec, rd, func(any) error { return nil })
+		st, _, err := runClassify(context.Background(), spec, rd, func([]byte) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
